@@ -8,6 +8,8 @@ phi(X) ~ phi(D) Z and minimizes
 over Z (closed form), D, and the unobserved entries of X (relaxed Newton
 steps with momentum), projecting X back onto the observed data after every
 sweep.  For the RBF kernel the alpha term is a constant.
+The kernels (K_XD, K_DD) of each (X, D) state are evaluated once and handed
+to every consumer through its optional ``kernels`` argument.
 """
 from __future__ import annotations
 
@@ -79,11 +81,17 @@ class OfflineModel:
         return self.mm.completion
 
 
+def _state_kernels(spec: KernelSpec, X: np.ndarray, D: np.ndarray, kernels=None):
+    """(K_XD, K_DD) of the state (X, D): ``kernels`` if given, else evaluated."""
+    if kernels is None:
+        kernels = (kernel_matrix(spec, X, D), kernel_matrix(spec, D, D))
+    return kernels
+
+
 def objective(spec: KernelSpec, X: np.ndarray, D: np.ndarray, Z: np.ndarray,
-              alpha: float, beta: float) -> float:
+              alpha: float, beta: float, kernels=None) -> float:
     """Value of the kernelized factorization objective at (X, D, Z)."""
-    K_XD = kernel_matrix(spec, X, D)
-    K_DD = kernel_matrix(spec, D, D)
+    K_XD, K_DD = _state_kernels(spec, X, D, kernels)
     fit_term = 0.5 * (kernel_diag(spec, X).sum()
                       - 2.0 * float(np.sum(K_XD * Z.T))
                       + float(np.sum(Z * (K_DD @ Z))))
@@ -92,11 +100,10 @@ def objective(spec: KernelSpec, X: np.ndarray, D: np.ndarray, Z: np.ndarray,
 
 
 def solve_codes(spec: KernelSpec, X: np.ndarray, D: np.ndarray,
-                beta: float) -> np.ndarray:
+                beta: float, kernels=None) -> np.ndarray:
     """Exact minimizer over the codes: (K_DD + beta I) \\ K_XD'."""
     r = D.shape[1]
-    K_DD = kernel_matrix(spec, D, D)
-    K_XD = kernel_matrix(spec, X, D)
+    K_XD, K_DD = _state_kernels(spec, X, D, kernels)
     try:
         chol = cho_factor(K_DD + beta * np.eye(r), lower=True)
         Z = cho_solve(chol, K_XD.T)
@@ -108,61 +115,59 @@ def solve_codes(spec: KernelSpec, X: np.ndarray, D: np.ndarray,
 
 
 def grad_dictionary_poly_frozen(spec: KernelSpec, X: np.ndarray, D: np.ndarray,
-                                Z: np.ndarray, alpha: float,
-                                W1: np.ndarray | None = None,
-                                W2: np.ndarray | None = None) -> np.ndarray:
+                                Z: np.ndarray, alpha: float, W1: np.ndarray,
+                                W2: np.ndarray) -> np.ndarray:
     """Frozen-weight dictionary gradient for the polynomial kernel.
 
     This is the gradient of the reweighted surrogate in which the power
     weights W1, W2 are held fixed; the true gradient is ``degree`` times it.
     """
     r = D.shape[1]
-    if W1 is None:
-        W1 = power_weights(spec, X.T @ D)
-    if W2 is None:
-        W2 = power_weights(spec, D.T @ D)
     return -X @ (W1 * Z.T) + D @ ((Z @ Z.T + alpha * np.eye(r)) * W2)
 
 
-def _poly_dictionary_hessian(spec, D, Z, alpha, W2=None):
-    if W2 is None:
-        W2 = power_weights(spec, D.T @ D)
+def _poly_dictionary_hessian(Z, alpha, W2):
     H = (Z @ Z.T) * W2
     H[np.diag_indices_from(H)] += alpha * np.diag(W2)
     return H
 
 
-def _rbf_dictionary_parts(spec, X, D, Z, alpha):
+def _rbf_dictionary_parts(spec, X, D, Z, alpha, kernels):
+    """RBF dictionary gradient and its curvature (not yet symmetrized)."""
     r = D.shape[1]
-    K_XD = kernel_matrix(spec, X, D)
-    K_DD = kernel_matrix(spec, D, D)
+    s2 = spec.sigma**2
+    K_XD, K_DD = _state_kernels(spec, X, D, kernels)
     Q1 = -(Z.T * K_XD)
     Q2 = (0.5 * (Z @ Z.T) + 0.5 * alpha * np.eye(r)) * K_DD
     g1 = Q1.sum(axis=0)
     g2 = Q2.sum(axis=0)
-    return Q1, Q2, g1, g2
+    g = (2.0 / s2) * (X @ Q1 - D * g1) + (4.0 / s2) * (D @ Q2 - D * g2)
+    return g, (2.0 / s2) * (2.0 * Q2 - np.diag(g1) - 2.0 * np.diag(g2))
 
 
 def grad_dictionary_rbf(spec: KernelSpec, X: np.ndarray, D: np.ndarray,
-                        Z: np.ndarray, alpha: float) -> np.ndarray:
+                        Z: np.ndarray, alpha: float, kernels=None) -> np.ndarray:
     """Exact dictionary gradient of :func:`objective` for the RBF kernel."""
+    return _rbf_dictionary_parts(spec, X, D, Z, alpha, kernels)[0]
+
+
+def _rbf_completion_parts(spec, X, D, Z, kernels):
+    """RBF completion gradient and its per-column diagonal curvature."""
     s2 = spec.sigma**2
-    Q1, Q2, g1, g2 = _rbf_dictionary_parts(spec, X, D, Z, alpha)
-    return (2.0 / s2) * (X @ Q1 - D * g1) + (4.0 / s2) * (D @ Q2 - D * g2)
+    K_XD = kernel_matrix(spec, X, D) if kernels is None else kernels[0]
+    Q3 = -(Z * K_XD.T)
+    g3 = Q3.sum(axis=0)
+    return (2.0 / s2) * (D @ Q3 - X * g3), -(2.0 / s2) * g3
 
 
 def grad_completion_rbf(spec: KernelSpec, X: np.ndarray, D: np.ndarray,
-                        Z: np.ndarray) -> np.ndarray:
+                        Z: np.ndarray, kernels=None) -> np.ndarray:
     """Exact completion gradient of :func:`objective` for the RBF kernel.
 
     The self-similarity term is constant (k(x, x) = 1), so only the
     cross-kernel term contributes.
     """
-    s2 = spec.sigma**2
-    K_XD = kernel_matrix(spec, X, D)
-    Q3 = -(Z * K_XD.T)
-    g3 = Q3.sum(axis=0)
-    return (2.0 / s2) * (D @ Q3 - X * g3)
+    return _rbf_completion_parts(spec, X, D, Z, kernels)[0]
 
 
 def _solve_right(G: np.ndarray, M: np.ndarray, *, spd: bool) -> np.ndarray:
@@ -176,7 +181,8 @@ def _solve_right(G: np.ndarray, M: np.ndarray, *, spd: bool) -> np.ndarray:
 
 
 def dictionary_step(spec: KernelSpec, X: np.ndarray, D: np.ndarray,
-                    Z: np.ndarray, alpha: float, tau: float) -> np.ndarray:
+                    Z: np.ndarray, alpha: float, tau: float,
+                    kernels=None) -> np.ndarray:
     """Relaxed Newton increment for the dictionary (D moves by -step)."""
     r = D.shape[1]
     if spec.is_poly:
@@ -185,16 +191,13 @@ def dictionary_step(spec: KernelSpec, X: np.ndarray, D: np.ndarray,
         g = grad_dictionary_poly_frozen(spec, X, D, Z, alpha, W1, W2)
         if not np.any(g):
             return np.zeros_like(D)
-        H = _poly_dictionary_hessian(spec, D, Z, alpha, W2)
+        H = _poly_dictionary_hessian(Z, alpha, W2)
         H = H + (1e-8 * np.trace(H) / r) * np.eye(r)
         step = (1.0 / tau) * _solve_right(g, H, spd=True)
     else:
-        s2 = spec.sigma**2
-        Q1, Q2, g1, g2 = _rbf_dictionary_parts(spec, X, D, Z, alpha)
-        g = (2.0 / s2) * (X @ Q1 - D * g1) + (4.0 / s2) * (D @ Q2 - D * g2)
+        g, B = _rbf_dictionary_parts(spec, X, D, Z, alpha, kernels)
         if not np.any(g):
             return np.zeros_like(D)
-        B = (2.0 / s2) * (2.0 * Q2 - np.diag(g1) - 2.0 * np.diag(g2))
         B = 0.5 * (B + B.T)
         B = B + (1e-8 * abs(np.trace(B)) / r) * np.eye(r)
         step = (1.0 / tau) * _solve_right(g, B, spd=False)
@@ -204,7 +207,7 @@ def dictionary_step(spec: KernelSpec, X: np.ndarray, D: np.ndarray,
 
 
 def completion_step(spec: KernelSpec, X: np.ndarray, D: np.ndarray,
-                    Z: np.ndarray, tau: float) -> np.ndarray:
+                    Z: np.ndarray, tau: float, kernels=None) -> np.ndarray:
     """Relaxed Newton increment for the completion (X moves by -step).
 
     The scaling is diagonal per column, so the step restricted to the
@@ -219,12 +222,7 @@ def completion_step(spec: KernelSpec, X: np.ndarray, D: np.ndarray,
     else:
         # Self-similarity contributions cancel for RBF: the diagonal Newton
         # scaling collapses to the column sums of the cross-kernel term.
-        s2 = spec.sigma**2
-        K_XD = kernel_matrix(spec, X, D)
-        Q3 = -(Z * K_XD.T)
-        g3 = Q3.sum(axis=0)
-        g = (2.0 / s2) * (D @ Q3 - X * g3)
-        d = -(2.0 / s2) * g3
+        g, d = _rbf_completion_parts(spec, X, D, Z, kernels)
         scale = np.where(d >= 0, np.maximum(d, EPS_DIAG), np.minimum(d, -EPS_DIAG))
     step = (1.0 / tau) * g / scale
     if not np.all(np.isfinite(step)):
@@ -273,56 +271,58 @@ def fit(mm: MaskedMatrix, spec: KernelSpec, hp: OfflineHyperparams,
                             np.asarray(trace), t, converged)
 
     guarded = hp.eta == 0.0
+    kernels = _state_kernels(spec, X, D)  # of the current (X, D)
     try:
         for t in range(1, hp.t_max + 1):
-            Z = solve_codes(spec, X, D, hp.beta)
-            current = objective(spec, X, D, Z, hp.alpha, hp.beta)
+            Z = solve_codes(spec, X, D, hp.beta, kernels)
 
-            step = dictionary_step(spec, X, D, Z, hp.alpha, hp.tau)
             if guarded:
-                D_try = D - step
-                after = objective(spec, X, D_try, Z, hp.alpha, hp.beta)
-                if after > current:
+                current = objective(spec, X, D, Z, hp.alpha, hp.beta, kernels)
+                for relax in (1.0, 2.0):
                     step = dictionary_step(spec, X, D, Z, hp.alpha,
-                                           2.0 * hp.tau)
+                                           relax * hp.tau, kernels)
                     D_try = D - step
-                    after = objective(spec, X, D_try, Z, hp.alpha, hp.beta)
-                mom_D = step
+                    trial = _state_kernels(spec, X, D_try)
+                    after = objective(spec, X, D_try, Z, hp.alpha, hp.beta, trial)
+                    # a NaN objective compares false: the step is accepted
+                    # here and rejected by the finiteness check below
+                    if not after > current:
+                        break
+                mom_D, kernels, current = step, trial, after
             else:
-                mom_D = hp.eta * mom_D + step
+                mom_D = hp.eta * mom_D + dictionary_step(
+                    spec, X, D, Z, hp.alpha, hp.tau, kernels)
                 D_try = D - mom_D
-                after = None
+                kernels = None
             if not np.all(np.isfinite(D_try)):
                 raise NumericalError("dictionary update diverged")
             D = D_try
-            if after is not None:
-                current = after
 
             if update_completion:
-                step = completion_step(spec, X, D, Z, hp.tau)
                 if guarded:
-                    X_try = X - step
-                    X_try[obs] = observed_values
-                    after = objective(spec, X_try, D, Z, hp.alpha, hp.beta)
-                    if after > current:
-                        step = completion_step(spec, X, D, Z, 2.0 * hp.tau)
+                    for relax in (1.0, 2.0):
+                        step = completion_step(spec, X, D, Z, relax * hp.tau,
+                                               kernels)
                         X_try = X - step
                         X_try[obs] = observed_values
-                        after = objective(spec, X_try, D, Z, hp.alpha, hp.beta)
-                    mom_X = step
+                        trial = (kernel_matrix(spec, X_try, D), kernels[1])
+                        after = objective(spec, X_try, D, Z, hp.alpha, hp.beta,
+                                          trial)
+                        if not after > current:
+                            break
+                    mom_X, kernels, current = step, trial, after
                 else:
-                    mom_X = hp.eta * mom_X + step
+                    mom_X = hp.eta * mom_X + completion_step(spec, X, D, Z,
+                                                             hp.tau)
                     X_try = X - mom_X
                     X_try[obs] = observed_values
-                    after = None
                 if not np.all(np.isfinite(X_try)):
                     raise NumericalError("completion update diverged")
                 X = X_try
-                if after is not None:
-                    current = after
 
             if not guarded:
-                current = objective(spec, X, D, Z, hp.alpha, hp.beta)
+                kernels = _state_kernels(spec, X, D)
+                current = objective(spec, X, D, Z, hp.alpha, hp.beta, kernels)
             trace.append(current)
             if len(trace) >= 2:
                 prev = trace[-2]

@@ -4,6 +4,8 @@ Each incoming column is completed by alternating an exact code solve with a
 relaxed Newton step on its unobserved entries, after which the dictionary
 takes one gradient step scaled by the spectral norm of the local curvature.
 Model state is O(m*r + r^2); nothing sized by the stream length is stored.
+Each kernel is evaluated once per state and handed to every consumer: K_DD
+once per sample, next to its Cholesky factor, and k_xD once per point x.
 """
 from __future__ import annotations
 
@@ -13,8 +15,10 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .exceptions import NumericalError
-from .kernels import KernelSpec, eval_kernel, kernel_matrix, power_weights
-from .offline import EPS_DIAG
+from .kernels import (KernelSpec, eval_kernel, kernel_diag, kernel_matrix,
+                      power_weights)
+from .offline import (EPS_DIAG, _poly_dictionary_hessian, _rbf_dictionary_parts,
+                      grad_dictionary_poly_frozen)
 
 # Floor for the spectral-norm scaling of the dictionary update.
 EPS_NORM = 1e-12
@@ -79,16 +83,16 @@ class SampleInfo:
 
 
 def sample_objective(spec: KernelSpec, x: np.ndarray, z: np.ndarray,
-                     D: np.ndarray, alpha: float, beta: float) -> float:
+                     D: np.ndarray, alpha: float, beta: float,
+                     k_xD=None, K_DD=None) -> float:
     """Per-sample objective 0.5||phi(x) - phi(D) z||^2 + regularizers."""
     k_xx = eval_kernel(spec, x, x)
-    k_xD = kernel_matrix(spec, x[:, None], D)[0]
-    K_DD = kernel_matrix(spec, D, D)
+    if k_xD is None:
+        k_xD = kernel_matrix(spec, x[:, None], D)[0]
+    if K_DD is None:
+        K_DD = kernel_matrix(spec, D, D)
     fit_term = 0.5 * k_xx - float(k_xD @ z) + 0.5 * float(z @ (K_DD @ z))
-    if spec.is_poly:
-        reg_d = float(np.sum((np.sum(D * D, axis=0) + spec.offset) ** spec.degree))
-    else:
-        reg_d = D.shape[1]
+    reg_d = float(kernel_diag(spec, D).sum()) if spec.is_poly else D.shape[1]
     return fit_term + 0.5 * alpha * reg_d + 0.5 * beta * float(z @ z)
 
 
@@ -108,22 +112,32 @@ def _sample_step(spec: KernelSpec, x: np.ndarray, z: np.ndarray,
     return (D @ qv - gamma * x) / (tau * denom)
 
 
-def _complete_column(D: np.ndarray, chol, spec: KernelSpec, x0: np.ndarray,
-                     miss_idx: np.ndarray, *, tau: float, eta: float,
-                     n_iter: int, tol: float, alpha: float,
-                     beta: float) -> tuple[np.ndarray, np.ndarray, SampleInfo]:
+def _code_system(spec: KernelSpec, D: np.ndarray, beta: float):
+    """K_DD and the Cholesky factor of (K_DD + beta I)."""
+    K_DD = kernel_matrix(spec, D, D)
+    try:
+        return K_DD, cho_factor(K_DD + beta * np.eye(D.shape[1]), lower=True)
+    except (LinAlgError, ValueError) as exc:
+        raise NumericalError(f"code system factorization failed: {exc}") from exc
+
+
+def _complete_column(D: np.ndarray, K_DD: np.ndarray, chol, spec: KernelSpec,
+                     x0: np.ndarray, miss_idx: np.ndarray, *, tau: float,
+                     eta: float, n_iter: int, tol: float, alpha: float,
+                     beta: float):
     """Inner loop: alternate exact code solves with Newton steps on the
     unobserved entries of one column.  ``chol`` is the prefactorized
-    (K_DD + beta I); only entries in ``miss_idx`` are modified."""
+    (K_DD + beta I); only entries in ``miss_idx`` are modified.  Returns the
+    column, its code, a :class:`SampleInfo` and the column's k_xD."""
     x = x0.copy()
     momentum = np.zeros_like(x)
     converged = miss_idx.size == 0
     iterations = 0
+    k_xD = kernel_matrix(spec, x[:, None], D)[0]
     for _ in range(n_iter):
         if converged:
             break
         iterations += 1
-        k_xD = kernel_matrix(spec, x[:, None], D)[0]
         z = cho_solve(chol, k_xD)
         step = _sample_step(spec, x, z, D, k_xD, tau)
         momentum = eta * momentum + step
@@ -132,14 +146,17 @@ def _complete_column(D: np.ndarray, chol, spec: KernelSpec, x0: np.ndarray,
         if eta == 0.0:
             # guarded Newton: a step that raises the per-sample objective is
             # retried once at doubled relaxation, then rejected
-            before = sample_objective(spec, x, z, D, alpha, beta)
-            after = sample_objective(spec, x_try, z, D, alpha, beta)
+            before = sample_objective(spec, x, z, D, alpha, beta, k_xD, K_DD)
+            k_try = kernel_matrix(spec, x_try[:, None], D)[0]
+            after = sample_objective(spec, x_try, z, D, alpha, beta, k_try, K_DD)
             if after > before:
                 step = _sample_step(spec, x, z, D, k_xD, 2.0 * tau)
                 x_try = x.copy()
                 x_try[miss_idx] -= step[miss_idx]
                 momentum = step
-                after = sample_objective(spec, x_try, z, D, alpha, beta)
+                k_try = kernel_matrix(spec, x_try[:, None], D)[0]
+                after = sample_objective(spec, x_try, z, D, alpha, beta, k_try,
+                                         K_DD)
                 if after > before:
                     converged = True
                     break
@@ -148,14 +165,22 @@ def _complete_column(D: np.ndarray, chol, spec: KernelSpec, x0: np.ndarray,
         delta = np.linalg.norm(x_try[miss_idx] - x[miss_idx])
         ref = max(np.linalg.norm(x[miss_idx]), 1e-30)
         x = x_try
+        # a trial point's kernel was evaluated for its objective
+        k_xD = k_try if eta == 0.0 else kernel_matrix(spec, x[:, None], D)[0]
         if delta < tol * ref:
             converged = True
-    k_xD = kernel_matrix(spec, x[:, None], D)[0]
     z = cho_solve(chol, k_xD)
-    obj = sample_objective(spec, x, z, D, alpha, beta)
+    obj = sample_objective(spec, x, z, D, alpha, beta, k_xD, K_DD)
     if not np.all(np.isfinite(z)) or not np.isfinite(obj):
         raise NumericalError("sample inference produced non-finite values")
-    return x, z, SampleInfo(converged, iterations >= n_iter, iterations, obj)
+    return x, z, SampleInfo(converged, iterations >= n_iter, iterations, obj), k_xD
+
+
+def _check_indices(observed_idx, m: int) -> np.ndarray:
+    observed_idx = np.asarray(observed_idx, dtype=int)
+    if np.any((observed_idx < 0) | (observed_idx >= m)):
+        raise ValueError(f"observed indices must lie in [0, {m})")
+    return observed_idx
 
 
 def _prepare_column(x: np.ndarray, observed_idx: np.ndarray, D: np.ndarray):
@@ -169,7 +194,7 @@ def _prepare_column(x: np.ndarray, observed_idx: np.ndarray, D: np.ndarray):
     x = np.asarray(x, dtype=float)
     if x.shape != (m,):
         raise ValueError(f"sample length {x.shape} does not match dictionary rows {m}")
-    observed_idx = np.asarray(observed_idx, dtype=int)
+    observed_idx = _check_indices(observed_idx, m)
     mask = np.zeros(m, dtype=bool)
     mask[observed_idx] = True
     miss_idx = np.nonzero(~mask)[0]
@@ -190,51 +215,41 @@ def _prepare_column(x: np.ndarray, observed_idx: np.ndarray, D: np.ndarray):
 
 
 def complete_sample(model: OnlineModel, x: np.ndarray, observed_idx: np.ndarray,
-                    spec: KernelSpec, hp: OnlineHyperparams):
+                    spec: KernelSpec, hp: OnlineHyperparams,
+                    return_kernels: bool = False):
     """Complete one column against the current dictionary.
 
-    Returns the completed column, its code vector, and a :class:`SampleInfo`.
-    The factorization of (K_DD + beta I) is formed once and reused across
-    the inner iterations.
+    Returns the completed column, its code vector, a :class:`SampleInfo` and,
+    with ``return_kernels``, the (K_XD, K_DD) of the completed column.  The
+    factorization of (K_DD + beta I) is reused across the inner iterations.
     """
     D = model.dictionary
     x0, miss_idx = _prepare_column(x, observed_idx, D)
-    K_DD = kernel_matrix(spec, D, D)
-    try:
-        chol = cho_factor(K_DD + hp.beta * np.eye(D.shape[1]), lower=True)
-    except (LinAlgError, ValueError) as exc:
-        raise NumericalError(f"code system factorization failed: {exc}") from exc
-    return _complete_column(D, chol, spec, x0, miss_idx, tau=hp.tau, eta=hp.eta,
-                            n_iter=hp.n_iter, tol=hp.tol, alpha=hp.alpha,
-                            beta=hp.beta)
+    K_DD, chol = _code_system(spec, D, hp.beta)
+    x_hat, z, info, k_xD = _complete_column(
+        D, K_DD, chol, spec, x0, miss_idx, tau=hp.tau, eta=hp.eta,
+        n_iter=hp.n_iter, tol=hp.tol, alpha=hp.alpha, beta=hp.beta)
+    if return_kernels:
+        return x_hat, z, info, (k_xD[None, :], K_DD)
+    return x_hat, z, info
 
 
 def update_dictionary(model: OnlineModel, x_completed: np.ndarray,
                       z: np.ndarray, spec: KernelSpec,
-                      hp: OnlineHyperparams) -> None:
-    """One SGD step on the dictionary for a completed sample (in place)."""
+                      hp: OnlineHyperparams, kernels=None) -> None:
+    """One SGD step on the dictionary for a completed sample (in place): the
+    batch gradient and curvature of one column, whose (K_XD, K_DD) are
+    ``kernels`` when :func:`complete_sample` returned them."""
     D = model.dictionary
-    r = D.shape[1]
+    X, Z = x_completed[:, None], z[:, None]
     if spec.is_poly:
-        w1 = (x_completed @ D + spec.offset) ** (spec.degree - 1)
+        W1 = (x_completed @ D + spec.offset)[None, :] ** (spec.degree - 1)
         W2 = power_weights(spec, D.T @ D)
-        H = np.outer(z, z) * W2
-        H[np.diag_indices_from(H)] += hp.alpha * np.diag(W2)
-        grad = -np.outer(x_completed, w1 * z) + D @ ((np.outer(z, z)
-                + hp.alpha * np.eye(r)) * W2)
-        scale = np.linalg.norm(H, 2)
+        grad = grad_dictionary_poly_frozen(spec, X, D, Z, hp.alpha, W1, W2)
+        curvature = _poly_dictionary_hessian(Z, hp.alpha, W2)
     else:
-        s2 = spec.sigma**2
-        k_xD = kernel_matrix(spec, x_completed[:, None], D)[0]
-        K_DD = kernel_matrix(spec, D, D)
-        q1 = -(z * k_xD)
-        Q2 = (0.5 * np.outer(z, z) + 0.5 * hp.alpha * np.eye(r)) * K_DD
-        g2 = Q2.sum(axis=0)
-        grad = (2.0 / s2) * (np.outer(x_completed, q1) - D * q1) \
-            + (4.0 / s2) * (D @ Q2 - D * g2)
-        B = (2.0 / s2) * (2.0 * Q2 - np.diag(q1) - 2.0 * np.diag(g2))
-        scale = np.linalg.norm(B, 2)
-    step = grad / (hp.tau * max(scale, EPS_NORM))
+        grad, curvature = _rbf_dictionary_parts(spec, X, D, Z, hp.alpha, kernels)
+    step = grad / (hp.tau * max(np.linalg.norm(curvature, 2), EPS_NORM))
     model.dict_momentum = hp.eta * model.dict_momentum + step
     model.dictionary = D - model.dict_momentum
     if not np.all(np.isfinite(model.dictionary)):
@@ -253,13 +268,13 @@ def run_stream(samples, spec: KernelSpec, hp: OnlineHyperparams,
 
     Returns the completed matrix in stream order and the model.
     """
-    samples = [(np.asarray(x, dtype=float), np.asarray(idx, dtype=int))
-               for x, idx in samples]
+    samples = [(np.asarray(x, dtype=float), idx) for x, idx in samples]
     if not samples:
         raise ValueError("empty sample stream")
     m = samples[0][0].shape[0]
     if any(x.shape != (m,) for x, _ in samples):
         raise ValueError("all samples must have the same length")
+    samples = [(x, _check_indices(idx, m)) for x, idx in samples]
     if model is None:
         model = OnlineModel.init(m, hp.r, hp.seed)
     n = len(samples)
@@ -275,9 +290,9 @@ def run_stream(samples, spec: KernelSpec, hp: OnlineHyperparams,
         for j in range(n):
             _, obs_idx = samples[j]
             try:
-                x_hat, z, info = complete_sample(model, work[:, j], obs_idx,
-                                                 spec, hp)
-                update_dictionary(model, x_hat, z, spec, hp)
+                x_hat, z, info, kernels = complete_sample(
+                    model, work[:, j], obs_idx, spec, hp, return_kernels=True)
+                update_dictionary(model, x_hat, z, spec, hp, kernels)
             except NumericalError as exc:
                 exc.sample_index = j
                 exc.model = model

@@ -2,13 +2,12 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor
 
 from .exceptions import NumericalError
-from .kernels import KernelSpec, kernel_matrix
+from .kernels import KernelSpec
 from .masking import Mask, impute_init
 from .offline import OfflineHyperparams, fit
-from .online import SampleInfo, _complete_column, _prepare_column
+from .online import SampleInfo, _code_system, _complete_column, _prepare_column
 
 
 def train_dictionary(X_train: np.ndarray, spec: KernelSpec,
@@ -38,20 +37,16 @@ def complete_new(D: np.ndarray, samples, spec: KernelSpec, beta: float,
     composition and order.
     """
     D = np.asarray(D, dtype=float)
-    K_DD = kernel_matrix(spec, D, D)
-    try:
-        chol = cho_factor(K_DD + beta * np.eye(D.shape[1]), lower=True)
-    except (LinAlgError, ValueError) as exc:
-        raise NumericalError(f"code system factorization failed: {exc}") from exc
+    K_DD, chol = _code_system(spec, D, beta)
     completed = []
     infos: list[SampleInfo] = []
     for j, (x, idx) in enumerate(samples):
         x0, miss_idx = _prepare_column(np.asarray(x, dtype=float),
                                        np.asarray(idx, dtype=int), D)
         try:
-            x_hat, _, info = _complete_column(D, chol, spec, x0, miss_idx,
-                                              tau=tau, eta=eta, n_iter=n_iter,
-                                              tol=tol, alpha=0.0, beta=beta)
+            x_hat, _, info, _ = _complete_column(
+                D, K_DD, chol, spec, x0, miss_idx, tau=tau, eta=eta,
+                n_iter=n_iter, tol=tol, alpha=0.0, beta=beta)
         except NumericalError as exc:
             exc.sample_index = j
             raise

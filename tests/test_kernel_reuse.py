@@ -1,0 +1,97 @@
+"""Kernel reuse: each solver state's kernels are evaluated once and shared.
+
+The counts pin how many kernel matrices the solvers build; the equality
+checks pin that a precomputed kernel gives the same bits as one evaluated
+on the spot.
+"""
+import numpy as np
+import pytest
+
+from kfmc import (KernelSpec, OfflineHyperparams, OnlineHyperparams,
+                  OnlineModel, SyntheticSpec, complete_sample, fit, generate,
+                  impute_init, random_mask)
+from kfmc import offline, online
+from kfmc.kernels import kernel_matrix
+from kfmc.offline import objective, solve_codes
+from kfmc.online import sample_objective
+
+
+@pytest.fixture
+def count_kernels(monkeypatch):
+    """Count kernel_matrix calls made from the offline and online modules."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return kernel_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(offline, "kernel_matrix", counted)
+    monkeypatch.setattr(online, "kernel_matrix", counted)
+    return calls
+
+
+@pytest.fixture
+def count_objectives(monkeypatch):
+    calls = []
+    real = online.sample_objective
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(online, "sample_objective", counted)
+    return calls
+
+
+def _problem(seed=3):
+    X, _ = generate(SyntheticSpec(d=2, p=3, u=2, m=12, n_per=20, seed=seed))
+    return impute_init(X, random_mask(12, 40, 0.3, seed=seed + 1))
+
+
+@pytest.mark.parametrize("update_completion", [True, False])
+def test_momentum_fit_builds_at_most_three_kernels_per_sweep(
+        count_kernels, update_completion):
+    mm = _problem()
+    spec = KernelSpec.rbf(2.0)
+    counts = {}
+    for t_max in (1, 6):
+        count_kernels.clear()
+        hp = OfflineHyperparams(r=8, eta=0.5, t_max=t_max, tol=0.0)
+        model = fit(mm, spec, hp, update_completion=update_completion)
+        assert model.iterations == t_max
+        counts[t_max] = len(count_kernels)
+    assert (counts[6] - counts[1]) / 5 <= 3
+
+
+def test_guarded_sample_builds_at_most_two_kernels_per_iteration(
+        count_kernels, count_objectives):
+    rng = np.random.default_rng(5)
+    m, r = 10, 6
+    D = rng.standard_normal((m, r))
+    x = rng.standard_normal(m)
+    obs = np.arange(0, m, 2)
+    x[1::2] = np.nan
+    hp = OnlineHyperparams(r=r, eta=0.0, n_iter=20, tol=0.0)
+    _, _, info = complete_sample(OnlineModel(D), x, obs, KernelSpec.rbf(2.0), hp)
+    assert info.iterations >= 3
+    # two objectives per iteration, one more per retry, one terminal
+    retries = len(count_objectives) - 2 * info.iterations - 1
+    assert 0 <= retries <= info.iterations
+    assert (len(count_kernels) - retries) / info.iterations <= 2
+
+
+@pytest.mark.parametrize("spec", [KernelSpec.rbf(1.7), KernelSpec.poly(3, 0.5)])
+def test_precomputed_kernels_give_identical_bits(spec):
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((5, 9))
+    D = rng.standard_normal((5, 4))
+    kernels = (kernel_matrix(spec, X, D), kernel_matrix(spec, D, D))
+    Z = solve_codes(spec, X, D, 0.1)
+    assert np.array_equal(Z, solve_codes(spec, X, D, 0.1, kernels))
+    assert objective(spec, X, D, Z, 0.2, 0.1) == \
+        objective(spec, X, D, Z, 0.2, 0.1, kernels)
+
+    x, z = X[:, 0], Z[:, 0]
+    k_xD = kernel_matrix(spec, x[:, None], D)[0]
+    assert sample_objective(spec, x, z, D, 0.2, 0.1) == \
+        sample_objective(spec, x, z, D, 0.2, 0.1, k_xD, kernels[1])

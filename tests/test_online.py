@@ -11,6 +11,7 @@ from kfmc import (KernelSpec, OnlineHyperparams, OnlineModel, SyntheticSpec,
                   sample_objective, update_dictionary)
 from kfmc.kernels import kernel_matrix, power_weights
 from kfmc import online
+from kfmc.ose import complete_new
 
 
 def test_hyperparam_validation():
@@ -287,3 +288,15 @@ def test_sample_length_mismatch(rng):
     hp = OnlineHyperparams(r=2, seed=0)
     with pytest.raises(ValueError):
         complete_sample(model, np.zeros(5), np.arange(5), KernelSpec.rbf(1.0), hp)
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_out_of_range_observed_index_rejected(bad):
+    # a negative index used to alias entry m-1; an index >= m raised IndexError
+    D = np.random.default_rng(0).standard_normal((4, 3))
+    x = np.array([1.0, np.nan, np.nan, 2.0])
+    spec = KernelSpec.rbf(1.0)
+    with pytest.raises(ValueError, match="observed indices"):
+        complete_new(D, [(x, [0, bad])], spec, beta=0.1)
+    with pytest.raises(ValueError, match="observed indices"):
+        run_stream([(x, [0, bad])], spec, OnlineHyperparams(r=3))
