@@ -228,6 +228,12 @@ def _hp_dict(hp) -> dict:
     return d
 
 
+def _inner_loop_report(infos) -> dict:
+    """Report keys summarizing the per-column inner loops of complete_new."""
+    return {"mean_inner_iterations": float(np.mean([i.iterations for i in infos])),
+            "samples_hit_iter_limit": sum(i.hit_iter_limit for i in infos)}
+
+
 def _save_partial(out, exc: NumericalError) -> None:
     trace = np.asarray(exc.trace if exc.trace is not None else [])
     write_trace_csv(Path(out) / "trace.csv",
@@ -265,9 +271,12 @@ def cmd_stream(args) -> int:
         obs_idx, _ = mm.mask.column_split(j)
         samples.append((masked_data[:, j], obs_idx))
 
+    inner_loops = {}
     if args.passes == 0:
-        X_hat = complete_new(D0, samples, spec, beta, n_iter=args.n_iter,
-                             eta=args.eta, tau=args.tau, tol=args.tol)
+        X_hat, infos = complete_new(D0, samples, spec, beta, n_iter=args.n_iter,
+                                    eta=args.eta, tau=args.tau, tol=args.tol,
+                                    return_info=True)
+        inner_loops = _inner_loop_report(infos)
         cost_trace, err_trace = np.empty(0), np.empty(0)
         D_final = D0
         samples_seen = resume_meta.get("metadata", {}).get("samples_seen", 0)
@@ -314,6 +323,7 @@ def cmd_stream(args) -> int:
         "observed_fraction": mm.mask.observed_fraction,
         "relative_error": relative_error(X_hat, truth) if truth is not None else None,
         "iterations": int(samples_seen),
+        **inner_loops,
         "seed": args.seed,
         "wall_time_s": wall,
     })
@@ -361,8 +371,9 @@ def cmd_ose(args) -> int:
             raise ValueError(f"checkpoint rows {D.shape[0]} != input rows {m}")
         beta = args.beta if args.beta is not None else \
             header.get("metadata", {}).get("beta", 1e-4)
-        X_hat = complete_new(D, samples, spec, beta, n_iter=args.n_iter,
-                             eta=args.eta, tau=args.tau, tol=args.tol)
+        X_hat, infos = complete_new(D, samples, spec, beta, n_iter=args.n_iter,
+                                    eta=args.eta, tau=args.tau, tol=args.tol,
+                                    return_info=True)
         if Path(args.model).read_bytes() != ckpt_bytes:
             raise NumericalError("checkpoint changed during out-of-sample run")
         payload = {"method": f"ose-kfmc-{spec.kind}",
@@ -370,7 +381,7 @@ def cmd_ose(args) -> int:
                    "hyperparameters": {"beta": beta, "n_iter": args.n_iter,
                                        "eta": args.eta, "tau": args.tau,
                                        "r": int(D.shape[1])},
-                   "iterations": n}
+                   "iterations": n, **_inner_loop_report(infos)}
     wall = time.perf_counter() - start
     write_matrix_csv(out / "completed.csv", X_hat)
     payload.update({

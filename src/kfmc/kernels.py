@@ -78,13 +78,25 @@ def _check_columns(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return A, B
 
 
-def kernel_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Dense kernel matrix with entry (i, j) = k(A[:, i], B[:, j])."""
+def column_sq_norms(A: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norms of the columns of A."""
+    return np.sum(A * A, axis=0)
+
+
+def kernel_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray,
+                  sq_A: np.ndarray | None = None) -> np.ndarray:
+    """Dense kernel matrix with entry (i, j) = k(A[:, i], B[:, j]).
+
+    ``sq_A`` may hold ``column_sq_norms(A)``, computed once by a caller that
+    evaluates many kernels against the same A; the result has the same bits.
+    """
     A, B = _check_columns(A, B)
     G = A.T @ B
     if spec.is_poly:
         return (G + spec.offset) ** spec.degree
-    sq = np.sum(A * A, axis=0)[:, None] + np.sum(B * B, axis=0)[None, :] - 2.0 * G
+    if sq_A is None:
+        sq_A = column_sq_norms(A)
+    sq = sq_A[:, None] + column_sq_norms(B)[None, :] - 2.0 * G
     np.maximum(sq, 0.0, out=sq)
     return np.exp(-sq / spec.sigma**2)
 
@@ -93,7 +105,7 @@ def kernel_diag(spec: KernelSpec, A: np.ndarray) -> np.ndarray:
     """Vector of self-similarities k(A[:, j], A[:, j]) without the full matrix."""
     A = np.asarray(A, dtype=float)
     if spec.is_poly:
-        return (np.sum(A * A, axis=0) + spec.offset) ** spec.degree
+        return (column_sq_norms(A) + spec.offset) ** spec.degree
     return np.ones(A.shape[1])
 
 

@@ -4,8 +4,16 @@ Each incoming column is completed by alternating an exact code solve with a
 relaxed Newton step on its unobserved entries, after which the dictionary
 takes one gradient step scaled by the spectral norm of the local curvature.
 Model state is O(m*r + r^2); nothing sized by the stream length is stored.
-Each kernel is evaluated once per state and handed to every consumer: K_DD
-once per sample, next to its Cholesky factor, and k_xD once per point x.
+
+One inner loop, :func:`_complete_block`, serves the streaming and the
+out-of-sample solvers.  It works on an (m, b) block of columns: the stream
+calls it with b = 1, :func:`kfmc.ose.complete_new` with zero-padded blocks
+of a fixed width.  Each step is a column-wise array operation or a product
+of fixed shape, and a finished column is frozen, so with a fixed b a
+column's bits depend on neither its position nor its neighbours.  Each
+kernel is evaluated once per state and handed to every consumer: K_DD once
+per dictionary, next to the solve operator, and K(D, X) once per block
+state.
 """
 from __future__ import annotations
 
@@ -15,7 +23,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .exceptions import NumericalError
-from .kernels import (KernelSpec, eval_kernel, kernel_diag, kernel_matrix,
+from .kernels import (KernelSpec, column_sq_norms, kernel_diag, kernel_matrix,
                       power_weights)
 from .offline import (EPS_DIAG, _poly_dictionary_hessian, _rbf_dictionary_parts,
                       grad_dictionary_poly_frozen)
@@ -84,96 +92,122 @@ class SampleInfo:
 
 def sample_objective(spec: KernelSpec, x: np.ndarray, z: np.ndarray,
                      D: np.ndarray, alpha: float, beta: float,
-                     k_xD=None, K_DD=None) -> float:
-    """Per-sample objective 0.5||phi(x) - phi(D) z||^2 + regularizers."""
-    k_xx = eval_kernel(spec, x, x)
-    if k_xD is None:
-        k_xD = kernel_matrix(spec, x[:, None], D)[0]
+                     k_xD=None, K_DD=None):
+    """Per-sample objective 0.5||phi(x) - phi(D) z||^2 + regularizers.
+
+    ``x`` is one column (m,) with its code ``z`` (r,), giving a float, or a
+    block (m, b) with codes (r, b), giving one value per column.  ``k_xD``
+    holds k(D, x), shaped like ``z``.
+    """
+    X = x.reshape(x.shape[0], -1)
+    Z = z.reshape(z.shape[0], -1)
+    K = kernel_matrix(spec, D, X) if k_xD is None else k_xD.reshape(Z.shape)
     if K_DD is None:
         K_DD = kernel_matrix(spec, D, D)
-    fit_term = 0.5 * k_xx - float(k_xD @ z) + 0.5 * float(z @ (K_DD @ z))
+    fit_term = (0.5 * kernel_diag(spec, X) - (K * Z).sum(axis=0)
+                + 0.5 * (Z * (K_DD @ Z)).sum(axis=0))
     reg_d = float(kernel_diag(spec, D).sum()) if spec.is_poly else D.shape[1]
-    return fit_term + 0.5 * alpha * reg_d + 0.5 * beta * float(z @ z)
+    obj = fit_term + 0.5 * alpha * reg_d + 0.5 * beta * (Z * Z).sum(axis=0)
+    return obj if x.ndim == 2 else float(obj[0])
 
 
 def _sample_step(spec: KernelSpec, x: np.ndarray, z: np.ndarray,
                  D: np.ndarray, k_xD: np.ndarray, tau: float) -> np.ndarray:
-    """Relaxed Newton increment on a single column (x moves by -step)."""
+    """Relaxed Newton increment (x moves by -step) on one column (m,), or
+    column-wise on a block (m, b) with codes and k(D, x) of shape (r, b)."""
     if spec.is_poly:
-        w1 = (float(x @ x) + spec.offset) ** (spec.degree - 1)
-        w2 = (x @ D + spec.offset) ** (spec.degree - 1)
+        w1 = (column_sq_norms(x) + spec.offset) ** (spec.degree - 1)
+        w2 = (D.T @ x + spec.offset) ** (spec.degree - 1)
         grad = w1 * x - D @ (w2 * z)
-        return grad / (tau * max(w1, EPS_DIAG))
+        return grad / (tau * np.maximum(w1, EPS_DIAG))
     qv = -(z * k_xD)
-    gamma = float(qv.sum())
+    gamma = qv.sum(axis=0)
     # |gamma| is the curvature magnitude of the frozen-kernel model; using
     # the magnitude keeps the step pointed at the stationary point D q/gamma.
-    denom = max(abs(gamma), EPS_DIAG)
+    denom = np.maximum(np.abs(gamma), EPS_DIAG)
     return (D @ qv - gamma * x) / (tau * denom)
 
 
 def _code_system(spec: KernelSpec, D: np.ndarray, beta: float):
-    """K_DD and the Cholesky factor of (K_DD + beta I)."""
+    """What the inner loop needs of a fixed D: K_DD, the solve operator
+    (K_DD + beta I)^-1, built from its Cholesky factor, and the squared
+    column norms of D.  Codes are one product with the operator; a
+    ``cho_solve`` per iteration costs about ten times more on a block."""
+    r = D.shape[1]
     K_DD = kernel_matrix(spec, D, D)
     try:
-        return K_DD, cho_factor(K_DD + beta * np.eye(D.shape[1]), lower=True)
+        chol = cho_factor(K_DD + beta * np.eye(r), lower=True)
     except (LinAlgError, ValueError) as exc:
         raise NumericalError(f"code system factorization failed: {exc}") from exc
+    return K_DD, cho_solve(chol, np.eye(r)), column_sq_norms(D)
 
 
-def _complete_column(D: np.ndarray, K_DD: np.ndarray, chol, spec: KernelSpec,
-                     x0: np.ndarray, miss_idx: np.ndarray, *, tau: float,
-                     eta: float, n_iter: int, tol: float, alpha: float,
-                     beta: float):
-    """Inner loop: alternate exact code solves with Newton steps on the
-    unobserved entries of one column.  ``chol`` is the prefactorized
-    (K_DD + beta I); only entries in ``miss_idx`` are modified.  Returns the
-    column, its code, a :class:`SampleInfo` and the column's k_xD."""
-    x = x0.copy()
-    momentum = np.zeros_like(x)
-    converged = miss_idx.size == 0
-    iterations = 0
-    k_xD = kernel_matrix(spec, x[:, None], D)[0]
+def _complete_block(spec: KernelSpec, D: np.ndarray, system, X: np.ndarray,
+                    missing: np.ndarray, *, tau: float, eta: float,
+                    n_iter: int, tol: float, alpha: float, beta: float):
+    """Inner loop on an (m, b) block of columns: alternate exact code solves
+    with Newton steps on the entries where ``missing`` is True.
+
+    ``system`` comes from :func:`_code_system`; ``X`` is not modified.  A
+    column with nothing missing never moves.  A column stops when its
+    relative change drops below ``tol`` or its guarded step is rejected, and
+    from then on keeps its values and kernel.  Returns the block, its codes (r, b), k(D, x) of each
+    column (r, b) and one :class:`SampleInfo` per column.  Raises
+    :class:`NumericalError` naming the first non-finite column of the block
+    in ``sample_index``; a non-finite entry stays non-finite, so checking
+    once at the end finds every column that failed on the way.
+    """
+    K_DD, solve_op, sq_D = system
+    momentum = np.zeros_like(X)
+    done = ~missing.any(axis=0)
+    iterations = np.zeros(X.shape[1], dtype=int)
+    K = kernel_matrix(spec, D, X, sq_D)
     for _ in range(n_iter):
-        if converged:
+        if done.all():
             break
-        iterations += 1
-        z = cho_solve(chol, k_xD)
-        step = _sample_step(spec, x, z, D, k_xD, tau)
+        active = ~done
+        iterations += active
+        Z = solve_op @ K
+        step = _sample_step(spec, X, Z, D, K, tau)
         momentum = eta * momentum + step
-        x_try = x.copy()
-        x_try[miss_idx] -= momentum[miss_idx]
+        move = missing & active
+        X_try = np.where(move, X - momentum, X)
         if eta == 0.0:
             # guarded Newton: a step that raises the per-sample objective is
-            # retried once at doubled relaxation, then rejected
-            before = sample_objective(spec, x, z, D, alpha, beta, k_xD, K_DD)
-            k_try = kernel_matrix(spec, x_try[:, None], D)[0]
-            after = sample_objective(spec, x_try, z, D, alpha, beta, k_try, K_DD)
-            if after > before:
-                step = _sample_step(spec, x, z, D, k_xD, 2.0 * tau)
-                x_try = x.copy()
-                x_try[miss_idx] -= step[miss_idx]
-                momentum = step
-                k_try = kernel_matrix(spec, x_try[:, None], D)[0]
-                after = sample_objective(spec, x_try, z, D, alpha, beta, k_try,
+            # retried once at doubled relaxation (half the step), then rejected
+            before = sample_objective(spec, X, Z, D, alpha, beta, K, K_DD)
+            K_try = kernel_matrix(spec, D, X_try, sq_D)
+            after = sample_objective(spec, X_try, Z, D, alpha, beta, K_try, K_DD)
+            retry = active & (after > before)
+            if retry.any():
+                X_try = np.where(move & retry, X - 0.5 * step, X_try)
+                K_try = kernel_matrix(spec, D, X_try, sq_D)
+                after = sample_objective(spec, X_try, Z, D, alpha, beta, K_try,
                                          K_DD)
-                if after > before:
-                    converged = True
-                    break
-        if not np.all(np.isfinite(x_try)):
-            raise NumericalError("sample completion produced non-finite values")
-        delta = np.linalg.norm(x_try[miss_idx] - x[miss_idx])
-        ref = max(np.linalg.norm(x[miss_idx]), 1e-30)
-        x = x_try
-        # a trial point's kernel was evaluated for its objective
-        k_xD = k_try if eta == 0.0 else kernel_matrix(spec, x[:, None], D)[0]
-        if delta < tol * ref:
-            converged = True
-    z = cho_solve(chol, k_xD)
-    obj = sample_objective(spec, x, z, D, alpha, beta, k_xD, K_DD)
-    if not np.all(np.isfinite(z)) or not np.isfinite(obj):
-        raise NumericalError("sample inference produced non-finite values")
-    return x, z, SampleInfo(converged, iterations >= n_iter, iterations, obj), k_xD
+                rejected = retry & (after > before)
+                done |= rejected
+                X_try = np.where(rejected, X, X_try)
+                K_try = np.where(rejected, K, K_try)
+        # relative change of the missing entries, compared squared (dX is
+        # zero at observed entries and in frozen columns)
+        dX = X_try - X
+        X_miss = np.where(missing, X, 0.0)
+        done |= (dX * dX).sum(axis=0) < \
+            tol * tol * np.maximum((X_miss * X_miss).sum(axis=0), 1e-60)
+        X = X_try
+        # a trial point's kernel was evaluated for its objective; a column
+        # that did not move gets the same bits from the same values
+        K = K_try if eta == 0.0 else kernel_matrix(spec, D, X, sq_D)
+    Z = solve_op @ K
+    objective = sample_objective(spec, X, Z, D, alpha, beta, K, K_DD)
+    failed = ~(np.isfinite(X).all(axis=0) & np.isfinite(Z).all(axis=0)
+               & np.isfinite(objective))
+    if failed.any():
+        raise NumericalError("sample completion produced non-finite values",
+                             sample_index=int(np.argmax(failed)))
+    infos = [SampleInfo(bool(c), bool(i >= n_iter), int(i), float(o))
+             for c, i, o in zip(done, iterations, objective)]
+    return X, Z, K, infos
 
 
 def _check_indices(observed_idx, m: int) -> np.ndarray:
@@ -184,7 +218,7 @@ def _check_indices(observed_idx, m: int) -> np.ndarray:
 
 
 def _prepare_column(x: np.ndarray, observed_idx: np.ndarray, D: np.ndarray):
-    """Split one sample into a working vector and its missing index set.
+    """Split one sample into a working vector and its missing-entry mask.
 
     Missing entries that are NaN get an initial value (mean of the observed
     entries, or the dictionary's column mean when nothing is observed);
@@ -195,11 +229,10 @@ def _prepare_column(x: np.ndarray, observed_idx: np.ndarray, D: np.ndarray):
     if x.shape != (m,):
         raise ValueError(f"sample length {x.shape} does not match dictionary rows {m}")
     observed_idx = _check_indices(observed_idx, m)
-    mask = np.zeros(m, dtype=bool)
-    mask[observed_idx] = True
-    miss_idx = np.nonzero(~mask)[0]
+    missing = np.ones(m, dtype=bool)
+    missing[observed_idx] = False
     x0 = x.copy()
-    need_init = ~mask & ~np.isfinite(x0)
+    need_init = missing & ~np.isfinite(x0)
     if need_init.any():
         if observed_idx.size:
             fill = float(np.mean(x0[observed_idx]))
@@ -211,27 +244,27 @@ def _prepare_column(x: np.ndarray, observed_idx: np.ndarray, D: np.ndarray):
             x0[need_init] = fill
     if not np.all(np.isfinite(x0[observed_idx] if observed_idx.size else x0)):
         raise ValueError("observed entries must be finite")
-    return x0, miss_idx
+    return x0, missing
 
 
 def complete_sample(model: OnlineModel, x: np.ndarray, observed_idx: np.ndarray,
                     spec: KernelSpec, hp: OnlineHyperparams,
                     return_kernels: bool = False):
-    """Complete one column against the current dictionary.
+    """Complete one column against the current dictionary: the inner loop
+    on a block of width one.
 
     Returns the completed column, its code vector, a :class:`SampleInfo` and,
-    with ``return_kernels``, the (K_XD, K_DD) of the completed column.  The
-    factorization of (K_DD + beta I) is reused across the inner iterations.
+    with ``return_kernels``, the (K_XD, K_DD) of the completed column.
     """
     D = model.dictionary
-    x0, miss_idx = _prepare_column(x, observed_idx, D)
-    K_DD, chol = _code_system(spec, D, hp.beta)
-    x_hat, z, info, k_xD = _complete_column(
-        D, K_DD, chol, spec, x0, miss_idx, tau=hp.tau, eta=hp.eta,
-        n_iter=hp.n_iter, tol=hp.tol, alpha=hp.alpha, beta=hp.beta)
+    x0, missing = _prepare_column(x, observed_idx, D)
+    system = _code_system(spec, D, hp.beta)
+    X, Z, K, infos = _complete_block(
+        spec, D, system, x0[:, None], missing[:, None], tau=hp.tau,
+        eta=hp.eta, n_iter=hp.n_iter, tol=hp.tol, alpha=hp.alpha, beta=hp.beta)
     if return_kernels:
-        return x_hat, z, info, (k_xD[None, :], K_DD)
-    return x_hat, z, info
+        return X[:, 0], Z[:, 0], infos[0], (K.T, system[0])
+    return X[:, 0], Z[:, 0], infos[0]
 
 
 def update_dictionary(model: OnlineModel, x_completed: np.ndarray,

@@ -1,4 +1,14 @@
-"""Out-of-sample extension: complete new columns against a frozen dictionary."""
+"""Out-of-sample extension: complete new columns against a frozen dictionary.
+
+New columns run the streaming solver's inner loop in blocks of a fixed width
+:data:`BLOCK`; the last block is padded with zero columns, which have
+nothing to move and are frozen from the start.  Every product in the loop
+therefore has the same shape, so BLAS computes each column of it by the
+same kernel and summation order whatever the column's position, its
+neighbours or the number of columns in the call: a column's output is
+bitwise the same alone, in bulk, or in any order.  Products of varying
+width do not guarantee that.
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -7,7 +17,11 @@ from .exceptions import NumericalError
 from .kernels import KernelSpec
 from .masking import Mask, impute_init
 from .offline import OfflineHyperparams, fit
-from .online import SampleInfo, _code_system, _complete_column, _prepare_column
+from .online import SampleInfo, _code_system, _complete_block, _prepare_column
+
+# Columns per block.  Wider blocks make a single-column request, padded to
+# one block, slower.
+BLOCK = 8
 
 
 def train_dictionary(X_train: np.ndarray, spec: KernelSpec,
@@ -31,28 +45,33 @@ def complete_new(D: np.ndarray, samples, spec: KernelSpec, beta: float,
                  return_info: bool = False):
     """Complete a batch of (x, observed_idx) samples without touching D.
 
-    The factorization of (K_DD + beta I) is computed once for the whole
-    batch; each sample then runs the same inner loop as the streaming
-    solver, minus any dictionary update.  Results are independent of batch
-    composition and order.
+    The code system of D is built once for the whole batch; the samples
+    then run the streaming solver's inner loop, minus any dictionary update,
+    in zero-padded blocks of :data:`BLOCK` columns.  Results are bitwise
+    independent of batch composition and order.  A :class:`NumericalError`
+    names the failing sample in ``sample_index``.
     """
     D = np.asarray(D, dtype=float)
-    K_DD, chol = _code_system(spec, D, beta)
-    completed = []
+    system = _code_system(spec, D, beta)
+    columns = [_prepare_column(x, idx, D) for x, idx in samples]
+    m, n = D.shape[0], len(columns)
+    out = np.empty((m, n))
     infos: list[SampleInfo] = []
-    for j, (x, idx) in enumerate(samples):
-        x0, miss_idx = _prepare_column(np.asarray(x, dtype=float),
-                                       np.asarray(idx, dtype=int), D)
+    for j0 in range(0, n, BLOCK):
+        block = columns[j0:j0 + BLOCK]
+        X0 = np.zeros((m, BLOCK))
+        missing = np.zeros((m, BLOCK), dtype=bool)
+        for i, (x0, miss) in enumerate(block):
+            X0[:, i], missing[:, i] = x0, miss
         try:
-            x_hat, _, info, _ = _complete_column(
-                D, K_DD, chol, spec, x0, miss_idx, tau=tau, eta=eta,
-                n_iter=n_iter, tol=tol, alpha=0.0, beta=beta)
+            X, _, _, block_infos = _complete_block(
+                spec, D, system, X0, missing, tau=tau, eta=eta, n_iter=n_iter,
+                tol=tol, alpha=0.0, beta=beta)
         except NumericalError as exc:
-            exc.sample_index = j
+            exc.sample_index += j0
             raise
-        completed.append(x_hat)
-        infos.append(info)
-    out = np.column_stack(completed) if completed else np.empty((D.shape[0], 0))
+        out[:, j0:j0 + len(block)] = X[:, :len(block)]
+        infos += block_infos[:len(block)]
     if return_info:
         return out, infos
     return out

@@ -301,9 +301,14 @@ def test_criterion_7_out_of_sample(tmp_path):
                 xs[obs] = x[obs]
                 samples.append((xs, obs))
             kfmc.complete_new(D, samples[:3], sp, beta=1e-4, n_iter=20)
-            t0 = time.perf_counter()
-            kfmc.complete_new(D, samples, sp, beta=1e-4, n_iter=20, tol=0.0)
-            return (time.perf_counter() - t0) / len(samples)
+            # best of 3 calls: one call is short enough for host noise to
+            # swamp the m*r scaling
+            best = float("inf")
+            for _ in range(3):
+                t0 = time.perf_counter()
+                kfmc.complete_new(D, samples, sp, beta=1e-4, n_iter=20, tol=0.0)
+                best = min(best, time.perf_counter() - t0)
+            return best / len(samples)
 
         m0, r0 = 1024, 128
         normalized = []

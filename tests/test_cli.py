@@ -171,6 +171,27 @@ def test_ose_from_checkpoint(union_dir, tmp_path):
     assert load_report(out)["relative_error"] is not None
 
 
+def test_ose_and_zero_pass_stream_report_inner_loops(union_dir, tmp_path):
+    train_out = tmp_path / "train"
+    run("stream", "--data", union_dir / "data.csv",
+        "--mask", union_dir / "mask.csv", "--passes", 1, "--r", 10,
+        "--n-iter", 5, "--seed", 0, "--out", train_out)
+    data = ("--mask", union_dir / "mask.csv", "--n-iter", 15, "--seed", 0)
+    assert run("ose", "--model", train_out / "model.ckpt",
+               "--input", union_dir / "data.csv", *data,
+               "--out", tmp_path / "ose") == 0
+    assert run("stream", "--data", union_dir / "data.csv", "--passes", 0,
+               "--resume", train_out / "model.ckpt", *data,
+               "--out", tmp_path / "p0") == 0
+    reports = [load_report(tmp_path / name) for name in ("ose", "p0")]
+    for report in reports:
+        assert 0 < report["mean_inner_iterations"] <= 15
+        assert isinstance(report["samples_hit_iter_limit"], int)
+        assert 0 <= report["samples_hit_iter_limit"] <= 100
+    keys = ("mean_inner_iterations", "samples_hit_iter_limit")
+    assert [reports[0][k] for k in keys] == [reports[1][k] for k in keys]
+
+
 def test_ose_shape_mismatch_exit_2(union_dir, tmp_path, rng):
     train_out = tmp_path / "train"
     run("stream", "--data", union_dir / "data.csv",

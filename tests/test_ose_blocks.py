@@ -1,0 +1,105 @@
+"""Blocked out-of-sample completion: outputs do not depend on the batch.
+
+complete_new runs its columns in zero-padded blocks of fixed width, so a
+column's bits must not depend on its position, its neighbours or the number
+of columns in the call.
+"""
+import numpy as np
+import pytest
+
+from kfmc import KernelSpec, NumericalError, complete_new
+from kfmc.kernels import column_sq_norms, kernel_matrix
+from kfmc.ose import BLOCK
+
+M, R, BETA = 9, 5, 1e-3
+SPECS = [KernelSpec.rbf(2.0), KernelSpec.poly(3, 0.5)]
+
+
+def _column(rng, kind):
+    """One (x, observed_idx) sample: partly observed, fully observed, or
+    with nothing observed."""
+    x = rng.standard_normal(M)
+    if kind == "full":
+        return x, np.arange(M)
+    obs = np.sort(rng.choice(M, size=6, replace=False)) if kind == "part" \
+        else np.arange(0)
+    xs = np.full(M, np.nan)
+    xs[obs] = x[obs]
+    return xs, obs
+
+
+def _samples(n, seed):
+    rng = np.random.default_rng(seed)
+    kinds = {3: "full", 4: "empty"}
+    return [_column(rng, kinds.get(j % 5, "part")) for j in range(n)]
+
+
+def _dictionary(seed=0):
+    return np.random.default_rng(seed).standard_normal((M, R))
+
+
+def _run(D, samples, spec, eta):
+    return complete_new(D, samples, spec, BETA, n_iter=12, eta=eta, tol=1e-9,
+                        return_info=True)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 19])
+@pytest.mark.parametrize("spec", SPECS, ids=["rbf", "poly"])
+@pytest.mark.parametrize("eta", [0.5, 0.0])
+def test_bulk_single_and_reversed_outputs_are_bitwise_equal(n, spec, eta):
+    D = _dictionary()
+    samples = _samples(n, seed=n)
+    bulk, infos = _run(D, samples, spec, eta)
+    assert bulk.shape == (M, n)
+    assert np.all(np.isfinite(bulk))
+    rev, rev_infos = _run(D, samples[::-1], spec, eta)
+    assert np.array_equal(rev[:, ::-1], bulk)
+    assert rev_infos[::-1] == infos
+    for j, sample in enumerate(samples):
+        solo, solo_infos = _run(D, [sample], spec, eta)
+        assert np.array_equal(solo[:, 0], bulk[:, j])
+        assert solo_infos[0] == infos[j]
+        x, obs = sample
+        assert np.array_equal(bulk[obs, j], x[obs])
+        if obs.size == M:
+            assert infos[j].iterations == 0 and infos[j].converged
+        if obs.size == 0:
+            assert infos[j].iterations > 0
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=["rbf", "poly"])
+@pytest.mark.parametrize("eta", [0.5, 0.0])
+def test_column_output_ignores_neighbour_content(spec, eta):
+    D = _dictionary()
+    samples = _samples(2 * BLOCK + 3, seed=1)
+    base, base_infos = _run(D, samples, spec, eta)
+    for j in (2, BLOCK + 1, 2 * BLOCK + 2):
+        others = _samples(len(samples), seed=100 + j)
+        mixed = others[:j] + [samples[j]] + others[j + 1:]
+        out, infos = _run(D, mixed, spec, eta)
+        assert np.array_equal(out[:, j], base[:, j])
+        assert infos[j] == base_infos[j]
+
+
+def test_numerical_error_names_the_failing_column_of_a_bulk_call():
+    spec = KernelSpec.poly(4, 1.0)
+    D = _dictionary()
+    samples = _samples(20, seed=3)
+    x, obs = _column(np.random.default_rng(4), "part")
+    x[obs] = 1e100
+    samples[11] = (x, obs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError) as err:
+            complete_new(D, samples, spec, BETA, n_iter=12)
+    assert err.value.sample_index == 11
+    healthy = samples[:11] + samples[12:]
+    assert np.all(np.isfinite(complete_new(D, healthy, spec, BETA, n_iter=12)))
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=["rbf", "poly"])
+def test_kernel_matrix_with_cached_norms_gives_identical_bits(spec):
+    rng = np.random.default_rng(2)
+    D = rng.standard_normal((M, R))
+    X = rng.standard_normal((M, BLOCK))
+    assert np.array_equal(kernel_matrix(spec, D, X),
+                          kernel_matrix(spec, D, X, column_sq_norms(D)))
