@@ -6,6 +6,7 @@ throughout: an (m, n) array holds n points in R^m.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +34,13 @@ class KernelSpec:
         if self.kind == POLY:
             if int(self.degree) != self.degree or self.degree < 1:
                 raise ValueError("polynomial degree must be an integer >= 1")
-            if self.offset < 0:
-                raise ValueError("polynomial offset must be >= 0")
+            if not 0 <= self.offset < math.inf:
+                raise ValueError("polynomial offset must be finite and >= 0")
         else:
-            if not self.sigma > 0:
-                raise ValueError("rbf sigma must be > 0")
+            if not 0 < self.sigma < math.inf:
+                raise ValueError("rbf sigma must be finite and > 0")
+            if math.isinf(self.sigma * self.sigma):
+                raise ValueError("rbf sigma is too large: sigma^2 overflows")
 
     @classmethod
     def poly(cls, degree: int = 2, offset: float = 1.0) -> "KernelSpec":
@@ -96,9 +99,14 @@ def kernel_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray,
         return (G + spec.offset) ** spec.degree
     if sq_A is None:
         sq_A = column_sq_norms(A)
-    sq = sq_A[:, None] + column_sq_norms(B)[None, :] - 2.0 * G
+    # exp(-max(|a|^2 + |b|^2 - 2 a'b, 0) / sigma^2), evaluated in place in
+    # that order; dividing by -sigma^2 rounds exactly like negating first
+    sq = sq_A[:, None] + column_sq_norms(B)[None, :]
+    G *= 2.0
+    np.subtract(sq, G, out=sq)
     np.maximum(sq, 0.0, out=sq)
-    return np.exp(-sq / spec.sigma**2)
+    sq /= -(spec.sigma**2)
+    return np.exp(sq, out=sq)
 
 
 def kernel_diag(spec: KernelSpec, A: np.ndarray) -> np.ndarray:

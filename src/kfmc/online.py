@@ -20,13 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .exceptions import NumericalError
 from .kernels import (KernelSpec, column_sq_norms, kernel_diag, kernel_matrix,
                       power_weights)
 from .offline import (EPS_DIAG, _poly_dictionary_hessian, _rbf_dictionary_parts,
-                      grad_dictionary_poly_frozen)
+                      _solve_operator, grad_dictionary_poly_frozen)
 
 # Floor for the spectral-norm scaling of the dictionary update.
 EPS_NORM = 1e-12
@@ -130,16 +129,13 @@ def _sample_step(spec: KernelSpec, x: np.ndarray, z: np.ndarray,
 
 def _code_system(spec: KernelSpec, D: np.ndarray, beta: float):
     """What the inner loop needs of a fixed D: K_DD, the solve operator
-    (K_DD + beta I)^-1, built from its Cholesky factor, and the squared
-    column norms of D.  Codes are one product with the operator; a
-    ``cho_solve`` per iteration costs about ten times more on a block."""
-    r = D.shape[1]
+    (K_DD + beta I)^-1 and the squared column norms of D.  The operator is
+    the batch solver's (:func:`kfmc.offline._solve_operator`): codes are one
+    product with it, since a triangular solve per iteration costs several
+    times more than the product on a block."""
     K_DD = kernel_matrix(spec, D, D)
-    try:
-        chol = cho_factor(K_DD + beta * np.eye(r), lower=True)
-    except (LinAlgError, ValueError) as exc:
-        raise NumericalError(f"code system factorization failed: {exc}") from exc
-    return K_DD, cho_solve(chol, np.eye(r)), column_sq_norms(D)
+    solve_op = _solve_operator(K_DD, beta, "code system factorization")
+    return K_DD, solve_op, column_sq_norms(D)
 
 
 def _complete_block(spec: KernelSpec, D: np.ndarray, system, X: np.ndarray,

@@ -247,6 +247,27 @@ def test_numerical_failure_exits_3(tmp_path):
     assert (out / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("flags", [("--sigma", "1e300"), ("--sigma", "inf"),
+                                   ("--sigma", "nan"),
+                                   ("--method", "kfmc-poly", "--offset", "inf")])
+def test_bad_kernel_parameters_exit_2(union_dir, tmp_path, flags):
+    assert run("complete", "--data", union_dir / "data.csv",
+               "--mask", union_dir / "mask.csv", *flags, "--t-max", 3,
+               "--out", tmp_path / "out") == 2
+
+
+def test_collapsed_sigma_exits_3(union_dir, tmp_path):
+    # sigma**2 underflows to 0: the kernel matrices turn non-finite and the
+    # first code solve fails; the (empty) partial trace is still written
+    data = ("--data", union_dir / "data.csv", "--mask", union_dir / "mask.csv",
+            "--sigma", "1e-300")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert run("complete", *data, "--t-max", 3, "--out", tmp_path / "c") == 3
+        assert run("stream", *data, "--r", 10, "--n-iter", 3,
+                   "--out", tmp_path / "s") == 3
+    assert (tmp_path / "c" / "trace.csv").exists()
+
+
 def _normalized_report(path):
     report = read_json(path)
     report.pop("wall_time_s", None)

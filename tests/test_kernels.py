@@ -38,6 +38,25 @@ def test_spec_validation():
         KernelSpec(kind="linear")
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"kind": "rbf", "sigma": math.inf},
+    {"kind": "rbf", "sigma": math.nan},
+    {"kind": "rbf", "sigma": 1e300},  # sigma**2 overflows
+    {"kind": "poly", "offset": math.inf},
+    {"kind": "poly", "offset": math.nan},
+])
+def test_spec_rejects_non_finite_parameters(kwargs):
+    with pytest.raises(ValueError):
+        KernelSpec(**kwargs)
+
+
+def test_spec_accepts_extreme_finite_sigma():
+    # a sigma whose square underflows is valid input: it is a numerical
+    # failure of the solvers, not a usage error
+    assert KernelSpec.rbf(1e-300).sigma == 1e-300
+    assert KernelSpec.rbf(1e150).sigma == 1e150
+
+
 def test_poly_matrix_identity_columns():
     spec = KernelSpec.poly(degree=2, offset=1.0)
     A = np.eye(2)
