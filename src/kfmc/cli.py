@@ -1,9 +1,10 @@
 """Command-line interface: gen | complete | stream | ose | bounds.
 
 Exit codes: 0 on success, 2 for usage or input errors, 3 for numerical
-failures (a partial trace is saved when one exists).  Every command takes a
---seed and is reproducible given it.  The KFMC_THREADS environment variable
-caps BLAS parallelism when set before the process imports numpy.
+failures (complete and stream still write the partial trace.csv).  Every
+command takes a --seed and is reproducible given it.  The KFMC_THREADS
+environment variable caps BLAS parallelism when set before the process
+imports numpy.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from .kernels import KernelSpec
 from .masking import Mask, MaskedMatrix, impute_init
 from .metrics import numerical_rank, relative_error
 from .offline import OfflineHyperparams, fit
-from .online import OnlineHyperparams, run_stream
+from .online import OnlineHyperparams, OnlineModel, run_stream
 from .ose import complete_new
 from .synth import (SyntheticSpec, continuous_mask, feature_count, generate,
                     random_mask, twisted_cubic)
@@ -99,9 +100,12 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _load_problem(args):
-    """Read data (+ optional mask/truth) and build the masked matrix."""
-    data = read_matrix_csv(args.data)
+def _read_problem(args, path):
+    """Read (data, mask, truth) for any command and check them before a solve.
+
+    Without --mask the finite entries are observed; a fully finite matrix
+    is its own truth unless --truth is given."""
+    data = read_matrix_csv(path)
     if args.mask:
         mask = read_mask_csv(args.mask)
         if mask.shape != data.shape:
@@ -111,40 +115,92 @@ def _load_problem(args):
     else:
         mask = Mask.from_dense(data)
     truth = None
-    if getattr(args, "truth", None):
+    if args.truth:
         truth = read_matrix_csv(args.truth)
         if truth.shape != data.shape:
             raise ValueError("truth shape does not match data shape")
     elif np.all(np.isfinite(data)):
         truth = data
-    mm = impute_init(data, mask, strategy=args.init)
-    return mm, truth
+    return data, mask, truth
 
 
-def _resolve_sigma(args, mm: MaskedMatrix, seed) -> float:
-    if args.sigma is not None:
-        return args.sigma
-    # the bandwidth heuristic always measures the row-mean-imputed matrix,
-    # independent of the completion init strategy chosen for the solve
+def _samples(data, mask: Mask) -> list:
+    """The (x, observed_idx) columns taken by run_stream and complete_new."""
+    masked = np.where(mask.observed, data, np.nan)
+    return [(masked[:, j], mask.column_split(j)[0]) for j in range(mask.n)]
+
+
+def _mean_distance(mm: MaskedMatrix, seed) -> float:
+    # the bandwidth heuristic and the --grid widths always measure the
+    # row-mean-imputed matrix, independent of the completion init strategy
     reference = impute_init(mm.values, mm.mask, strategy="row_mean")
-    dbar = mean_pairwise_distance(reference.completion, seed=seed)
-    return args.sigma_mult * dbar
+    return mean_pairwise_distance(reference.completion, seed=seed)
 
 
-def _kernel_from_args(args, mm, seed) -> KernelSpec:
-    if getattr(args, "method", None) == "kfmc-poly" \
-            or getattr(args, "kernel", None) == "poly":
+def _kernel_from_args(args, kind, mm) -> KernelSpec:
+    if kind == "poly":
         return KernelSpec.poly(degree=args.degree, offset=args.offset)
-    return KernelSpec.rbf(sigma=_resolve_sigma(args, mm, seed))
+    if args.sigma is not None:
+        return KernelSpec.rbf(sigma=args.sigma)
+    return KernelSpec.rbf(sigma=args.sigma_mult * _mean_distance(mm, args.seed))
 
 
-def _report(out, payload) -> None:
-    write_json(Path(out) / "report.json", payload)
+def _default_r(spec, m) -> int:
+    return 2 * m if spec.is_rbf else m
+
+
+def _beta(args, spec, metadata=None) -> float:
+    """--beta, else the checkpoint's beta, else the kernel's default."""
+    if args.beta is not None:
+        return args.beta
+    return (metadata or {}).get("beta", 1e-4 if spec.is_rbf else 0.1)
+
+
+def _load_model(args, path, m):
+    """Dictionary, kernel, beta and run metadata of a checkpoint for m rows."""
+    D, spec, header = load_checkpoint(path)
+    if D.shape[0] != m:
+        raise ValueError(f"checkpoint rows {D.shape[0]} != data rows {m}")
+    metadata = header.get("metadata", {})
+    return D, spec, _beta(args, spec, metadata), metadata
+
+
+def _complete_frozen(args, D, spec, beta, samples):
+    """Completion against a frozen dictionary, plus its inner-loop report keys."""
+    X_hat, infos = complete_new(D, samples, spec, beta, n_iter=args.n_iter,
+                                eta=args.eta, tau=args.tau, tol=args.tol,
+                                return_info=True)
+    return X_hat, {
+        "mean_inner_iterations": float(np.mean([i.iterations for i in infos])),
+        "samples_hit_iter_limit": sum(i.hit_iter_limit for i in infos),
+    }
+
+
+def _write_trace(out, index, **columns) -> None:
+    """Write trace.csv: a 1-based ``index`` column, then the named columns."""
+    columns = {name: np.asarray(values) for name, values in columns.items()}
+    length = next(iter(columns.values())).size
+    write_trace_csv(Path(out) / "trace.csv",
+                    {index: np.arange(1, length + 1), **columns})
+
+
+def _finish(args, out, start, X_hat, mask, truth, payload) -> None:
+    """Write completed.csv and report.json with the keys all commands share."""
+    wall = time.perf_counter() - start
+    write_matrix_csv(out / "completed.csv", X_hat)
+    write_json(out / "report.json", {
+        **payload,
+        "observed_fraction": mask.observed_fraction,
+        "relative_error": relative_error(X_hat, truth) if truth is not None else None,
+        "seed": args.seed,
+        "wall_time_s": wall,
+    })
 
 
 def cmd_complete(args) -> int:
     out = ensure_dir(args.out)
-    mm, truth = _load_problem(args)
+    data, mask, truth = _read_problem(args, args.data)
+    mm = impute_init(data, mask, strategy=args.init)
     m, n = mm.shape
     start = time.perf_counter()
     if args.method == "lrf":
@@ -160,172 +216,102 @@ def cmd_complete(args) -> int:
             "iterations": args.iters,
             "converged": True,
         }
-    elif args.grid:
-        if truth is None:
-            raise ValueError("--grid requires ground truth "
-                             "(fully observed --data or --truth)")
-        reference = impute_init(mm.values, mm.mask, strategy="row_mean")
-        dbar = mean_pairwise_distance(reference.completion, seed=args.seed)
-        candidates = poly_candidates(m) + rbf_candidates(m, dbar)
-        best, entries = best_offline(mm, truth, candidates, seed=args.seed)
-        X_hat, trace = best.model.completed, best.model.objective_trace
-        payload = {
-            "method": "kfmc-grid",
-            "kernel": kernel_to_dict(best.spec),
-            "hyperparameters": _hp_dict(best.hp),
-            "iterations": best.model.iterations,
-            "converged": best.model.converged,
-            "grid": [{"kernel": kernel_to_dict(e.spec),
-                      "r": e.hp.r, "alpha": e.hp.alpha, "beta": e.hp.beta,
-                      "relative_error": e.relative_error} for e in entries],
-        }
     else:
-        spec = _kernel_from_args(args, mm, args.seed)
-        r = args.r if args.r is not None else _default_r(args.method, m)
-        beta = args.beta if args.beta is not None else \
-            (1e-4 if spec.is_rbf else 0.1)
-        hp = OfflineHyperparams(r=r, alpha=args.alpha, beta=beta,
-                                tau=args.tau, eta=args.eta, t_max=args.t_max,
-                                tol=args.tol, seed=args.seed)
-        try:
-            model = fit(mm, spec, hp)
-        except NumericalError as exc:
-            _save_partial(out, exc)
-            raise
+        if args.grid:
+            if truth is None:
+                raise ValueError("--grid requires ground truth "
+                                 "(fully observed --data or --truth)")
+            dbar = _mean_distance(mm, args.seed)
+            candidates = poly_candidates(m) + rbf_candidates(m, dbar)
+            best, entries = best_offline(mm, truth, candidates, seed=args.seed)
+            spec, hp, model = best.spec, best.hp, best.model
+            extra = {"grid": [{"kernel": kernel_to_dict(e.spec),
+                               "r": e.hp.r, "alpha": e.hp.alpha, "beta": e.hp.beta,
+                               "relative_error": e.relative_error} for e in entries]}
+        else:
+            spec = _kernel_from_args(args, args.method.removeprefix("kfmc-"), mm)
+            r = args.r if args.r is not None else _default_r(spec, m)
+            hp = OfflineHyperparams(r=r, alpha=args.alpha, beta=_beta(args, spec),
+                                    tau=args.tau, eta=args.eta, t_max=args.t_max,
+                                    tol=args.tol, seed=args.seed)
+            try:
+                model = fit(mm, spec, hp)
+            except NumericalError as exc:
+                _write_trace(out, "iteration",
+                             objective=exc.trace if exc.trace is not None else [])
+                raise
+            extra = {}
         X_hat, trace = model.completed, model.objective_trace
+        keys = ("r", "alpha", "beta", "tau", "eta", "t_max", "tol", "seed")
         payload = {
-            "method": args.method,
+            "method": "kfmc-grid" if args.grid else args.method,
             "kernel": kernel_to_dict(spec),
-            "hyperparameters": _hp_dict(hp),
+            "hyperparameters": {k: getattr(hp, k) for k in keys},
             "iterations": model.iterations,
             "converged": model.converged,
+            **extra,
         }
-    wall = time.perf_counter() - start
-    write_matrix_csv(out / "completed.csv", X_hat)
-    write_trace_csv(out / "trace.csv", {"iteration": np.arange(1, len(trace) + 1),
-                                        "objective": np.asarray(trace)})
-    payload.update({
-        "observed_fraction": mm.mask.observed_fraction,
-        "relative_error": relative_error(X_hat, truth) if truth is not None else None,
-        "seed": args.seed,
-        "wall_time_s": wall,
-    })
-    _report(out, payload)
+    _finish(args, out, start, X_hat, mask, truth, payload)
+    _write_trace(out, "iteration", objective=trace)
     print(f"completed {m}x{n} matrix; report in {out}")
     return 0
 
 
-def _default_r(method, m) -> int:
-    return 2 * m if method == "kfmc-rbf" else m
-
-
-def _hp_dict(hp) -> dict:
-    keys = ("r", "alpha", "beta", "tau", "eta", "tol", "seed")
-    d = {k: getattr(hp, k) for k in keys if hasattr(hp, k)}
-    for k in ("t_max", "n_iter", "n_pass"):
-        if hasattr(hp, k):
-            d[k] = getattr(hp, k)
-    return d
-
-
-def _inner_loop_report(infos) -> dict:
-    """Report keys summarizing the per-column inner loops of complete_new."""
-    return {"mean_inner_iterations": float(np.mean([i.iterations for i in infos])),
-            "samples_hit_iter_limit": sum(i.hit_iter_limit for i in infos)}
-
-
-def _save_partial(out, exc: NumericalError) -> None:
-    trace = np.asarray(exc.trace if exc.trace is not None else [])
-    write_trace_csv(Path(out) / "trace.csv",
-                    {"iteration": np.arange(1, trace.size + 1),
-                     "objective": trace})
-
-
 def cmd_stream(args) -> int:
     out = ensure_dir(args.out)
-    mm, truth = _load_problem(args)
+    data, mask, truth = _read_problem(args, args.data)
+    mm = impute_init(data, mask, strategy=args.init)
     m, n = mm.shape
+    samples = _samples(data, mask)
     start = time.perf_counter()
-    resume_meta = None
     if args.resume:
-        D0, spec, header = load_checkpoint(args.resume)
-        if D0.shape[0] != m:
-            raise ValueError(f"checkpoint rows {D0.shape[0]} != data rows {m}")
+        D0, spec, beta, metadata = _load_model(args, args.resume, m)
         if args.kernel and spec.kind != args.kernel:
             raise ValueError(f"checkpoint kernel {spec.kind!r} does not match "
                              f"--kernel {args.kernel!r}")
-        resume_meta = header
         r = D0.shape[1]
+    elif args.passes < 1:
+        raise ValueError("--passes 0 requires --resume (a trained model)")
     else:
-        if args.passes < 1:
-            raise ValueError("--passes 0 requires --resume (a trained model)")
-        spec = _kernel_from_args(args, mm, args.seed)
-        r = args.r if args.r is not None else _default_r(f"kfmc-{args.kernel}", m)
+        spec = _kernel_from_args(args, args.kernel or "rbf", mm)
+        beta = _beta(args, spec)
+        r = args.r if args.r is not None else _default_r(spec, m)
         D0 = None
-    beta = args.beta if args.beta is not None else \
-        (1e-4 if spec.is_rbf else 0.1)
-
-    samples = []
-    masked_data = np.where(mm.mask.observed, mm.values, np.nan)
-    for j in range(n):
-        obs_idx, _ = mm.mask.column_split(j)
-        samples.append((masked_data[:, j], obs_idx))
 
     inner_loops = {}
     if args.passes == 0:
-        X_hat, infos = complete_new(D0, samples, spec, beta, n_iter=args.n_iter,
-                                    eta=args.eta, tau=args.tau, tol=args.tol,
-                                    return_info=True)
-        inner_loops = _inner_loop_report(infos)
-        cost_trace, err_trace = np.empty(0), np.empty(0)
-        D_final = D0
-        samples_seen = resume_meta.get("metadata", {}).get("samples_seen", 0)
+        X_hat, inner_loops = _complete_frozen(args, D0, spec, beta, samples)
+        model = OnlineModel(D0)
+        model.samples_seen = metadata.get("samples_seen", 0)
     else:
         hp = OnlineHyperparams(r=r, alpha=args.alpha, beta=beta, tau=args.tau,
                                eta=args.eta, n_iter=args.n_iter,
                                n_pass=args.passes, tol=args.tol,
                                seed=args.seed)
-        model = None
-        if D0 is not None:
-            from .online import OnlineModel
-            model = OnlineModel(D0)
         try:
             X_hat, model = run_stream(samples, spec, hp, ground_truth=truth,
-                                      model=model)
+                                      model=None if D0 is None else OnlineModel(D0))
         except NumericalError as exc:
-            if exc.model is not None and exc.model.cost_trace:
-                write_trace_csv(out / "trace.csv",
-                                {"t": np.arange(1, len(exc.model.cost_trace) + 1),
-                                 "empirical_cost": np.asarray(exc.model.cost_trace),
-                                 "empirical_error": np.asarray(exc.model.err_trace)})
+            # run_stream hands over the model it was updating
+            _write_trace(out, "t", empirical_cost=exc.model.cost_trace,
+                         empirical_error=exc.model.err_trace)
             raise
-        cost_trace = np.asarray(model.cost_trace)
-        err_trace = np.asarray(model.err_trace)
-        D_final = model.dictionary
-        samples_seen = model.samples_seen
-    wall = time.perf_counter() - start
 
-    write_matrix_csv(out / "completed.csv", X_hat)
-    write_trace_csv(out / "trace.csv",
-                    {"t": np.arange(1, len(cost_trace) + 1),
-                     "empirical_cost": cost_trace,
-                     "empirical_error": err_trace})
-    save_checkpoint(out / "model.ckpt", D_final, spec, metadata={
-        "beta": beta, "samples_seen": int(samples_seen), "seed": args.seed,
-        "n_iter": args.n_iter, "eta": args.eta, "tau": args.tau,
-    })
-    _report(out, {
+    _finish(args, out, start, X_hat, mask, truth, {
         "method": f"ol-kfmc-{spec.kind}",
         "kernel": kernel_to_dict(spec),
-        "hyperparameters": {"r": int(D_final.shape[1]), "alpha": args.alpha,
-                            "beta": beta, "tau": args.tau, "eta": args.eta,
-                            "n_iter": args.n_iter, "n_pass": args.passes},
-        "observed_fraction": mm.mask.observed_fraction,
-        "relative_error": relative_error(X_hat, truth) if truth is not None else None,
-        "iterations": int(samples_seen),
+        "hyperparameters": {"r": int(model.dictionary.shape[1]),
+                            "alpha": args.alpha, "beta": beta, "tau": args.tau,
+                            "eta": args.eta, "n_iter": args.n_iter,
+                            "n_pass": args.passes},
+        "iterations": int(model.samples_seen),
         **inner_loops,
-        "seed": args.seed,
-        "wall_time_s": wall,
+    })
+    _write_trace(out, "t", empirical_cost=model.cost_trace,
+                 empirical_error=model.err_trace)
+    save_checkpoint(out / "model.ckpt", model.dictionary, spec, metadata={
+        "beta": beta, "samples_seen": int(model.samples_seen), "seed": args.seed,
+        "n_iter": args.n_iter, "eta": args.eta, "tau": args.tau,
     })
     print(f"streamed {n} columns x {args.passes} passes; report in {out}")
     return 0
@@ -333,21 +319,9 @@ def cmd_stream(args) -> int:
 
 def cmd_ose(args) -> int:
     out = ensure_dir(args.out)
-    data = read_matrix_csv(args.input)
-    if args.mask:
-        mask = read_mask_csv(args.mask)
-        if mask.shape != data.shape:
-            raise ValueError("mask shape does not match input shape")
-    else:
-        mask = Mask.from_dense(data)
-    truth = None
-    if args.truth:
-        truth = read_matrix_csv(args.truth)
-    elif np.all(np.isfinite(data)):
-        truth = data
-    masked = np.where(mask.observed, data, np.nan)
+    data, mask, truth = _read_problem(args, args.input)
     m, n = data.shape
-    samples = [(masked[:, j], mask.column_split(j)[0]) for j in range(n)]
+    samples = _samples(data, mask)
     start = time.perf_counter()
 
     if args.baseline == "ose-lrf":
@@ -365,32 +339,15 @@ def cmd_ose(args) -> int:
     else:
         if not args.model:
             raise ValueError("either --model or --baseline ose-lrf is required")
-        ckpt_bytes = Path(args.model).read_bytes()
-        D, spec, header = load_checkpoint(args.model)
-        if D.shape[0] != m:
-            raise ValueError(f"checkpoint rows {D.shape[0]} != input rows {m}")
-        beta = args.beta if args.beta is not None else \
-            header.get("metadata", {}).get("beta", 1e-4)
-        X_hat, infos = complete_new(D, samples, spec, beta, n_iter=args.n_iter,
-                                    eta=args.eta, tau=args.tau, tol=args.tol,
-                                    return_info=True)
-        if Path(args.model).read_bytes() != ckpt_bytes:
-            raise NumericalError("checkpoint changed during out-of-sample run")
+        D, spec, beta, _ = _load_model(args, args.model, m)
+        X_hat, inner_loops = _complete_frozen(args, D, spec, beta, samples)
         payload = {"method": f"ose-kfmc-{spec.kind}",
                    "kernel": kernel_to_dict(spec),
                    "hyperparameters": {"beta": beta, "n_iter": args.n_iter,
                                        "eta": args.eta, "tau": args.tau,
                                        "r": int(D.shape[1])},
-                   "iterations": n, **_inner_loop_report(infos)}
-    wall = time.perf_counter() - start
-    write_matrix_csv(out / "completed.csv", X_hat)
-    payload.update({
-        "observed_fraction": mask.observed_fraction,
-        "relative_error": relative_error(X_hat, truth) if truth is not None else None,
-        "seed": args.seed,
-        "wall_time_s": wall,
-    })
-    _report(out, payload)
+                   "iterations": n, **inner_loops}
+    _finish(args, out, start, X_hat, mask, truth, payload)
     print(f"completed {n} new columns; report in {out}")
     return 0
 
@@ -405,6 +362,33 @@ def cmd_bounds(args) -> int:
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
     return 0
+
+
+def _add_run_flags(p):
+    """Flags shared by complete, stream and ose."""
+    p.add_argument("--mask")
+    p.add_argument("--truth")
+    p.add_argument("--beta", type=float, default=None,
+                   help="default: the checkpoint's beta when one is read, "
+                        "else 1e-4 (rbf) or 0.1 (poly)")
+    p.add_argument("--tau", type=float, default=2.0)
+    p.add_argument("--eta", type=float, default=0.5)
+    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", required=True)
+
+
+def _add_fit_flags(p):
+    """Flags shared by complete and stream: the run flags, init and kernel."""
+    p.add_argument("--data", required=True)
+    _add_run_flags(p)
+    p.add_argument("--init", choices=["row_mean", "zero"], default="row_mean")
+    p.add_argument("--r", type=int, default=None)
+    p.add_argument("--alpha", type=float, default=0.1)
+    p.add_argument("--degree", type=int, default=2)
+    p.add_argument("--offset", type=float, default=1.0)
+    p.add_argument("--sigma", type=float, default=None)
+    p.add_argument("--sigma-mult", type=float, default=1.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -428,71 +412,35 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_gen)
 
     c = sub.add_parser("complete", help="batch completion of one matrix")
-    c.add_argument("--data", required=True)
-    c.add_argument("--mask")
-    c.add_argument("--truth")
+    _add_fit_flags(c)
     c.add_argument("--method", choices=["kfmc-poly", "kfmc-rbf", "lrf"],
                    default="kfmc-rbf")
     c.add_argument("--grid", action="store_true",
                    help="sweep the default hyperparameter grid, keep best RE")
-    c.add_argument("--init", choices=["row_mean", "zero"], default="row_mean")
-    c.add_argument("--r", type=int, default=None)
-    c.add_argument("--alpha", type=float, default=0.1)
-    c.add_argument("--beta", type=float, default=None)
-    c.add_argument("--tau", type=float, default=2.0)
-    c.add_argument("--eta", type=float, default=0.5)
     c.add_argument("--t-max", type=int, default=500)
-    c.add_argument("--tol", type=float, default=1e-6)
-    c.add_argument("--degree", type=int, default=2)
-    c.add_argument("--offset", type=float, default=1.0)
-    c.add_argument("--sigma", type=float, default=None)
-    c.add_argument("--sigma-mult", type=float, default=1.0)
     c.add_argument("--rank", type=int, default=None, help="lrf rank")
     c.add_argument("--ridge", type=float, default=1e-4, help="lrf ridge")
     c.add_argument("--iters", type=int, default=100, help="lrf sweeps")
-    c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--out", required=True)
     c.set_defaults(func=cmd_complete)
 
     s = sub.add_parser("stream", help="online completion, column by column")
-    s.add_argument("--data", required=True)
-    s.add_argument("--mask")
-    s.add_argument("--truth")
-    s.add_argument("--kernel", choices=["poly", "rbf"], default="rbf")
-    s.add_argument("--init", choices=["row_mean", "zero"], default="row_mean")
+    _add_fit_flags(s)
+    s.add_argument("--kernel", choices=["poly", "rbf"], default=None,
+                   help="default: the checkpoint's kernel with --resume, else rbf")
     s.add_argument("--passes", type=int, default=1)
-    s.add_argument("--r", type=int, default=None)
-    s.add_argument("--alpha", type=float, default=0.1)
-    s.add_argument("--beta", type=float, default=None)
-    s.add_argument("--tau", type=float, default=2.0)
-    s.add_argument("--eta", type=float, default=0.5)
     s.add_argument("--n-iter", type=int, default=30)
-    s.add_argument("--tol", type=float, default=1e-6)
-    s.add_argument("--degree", type=int, default=2)
-    s.add_argument("--offset", type=float, default=1.0)
-    s.add_argument("--sigma", type=float, default=None)
-    s.add_argument("--sigma-mult", type=float, default=1.0)
     s.add_argument("--resume", help="checkpoint to continue from")
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_stream)
 
     o = sub.add_parser("ose", help="complete new columns against a frozen model")
     o.add_argument("--model", help="checkpoint from `kfmc stream`")
     o.add_argument("--input", required=True)
-    o.add_argument("--mask")
-    o.add_argument("--truth")
-    o.add_argument("--beta", type=float, default=None)
-    o.add_argument("--tau", type=float, default=2.0)
-    o.add_argument("--eta", type=float, default=0.5)
+    _add_run_flags(o)
     o.add_argument("--n-iter", type=int, default=30)
-    o.add_argument("--tol", type=float, default=1e-6)
     o.add_argument("--baseline", choices=["ose-lrf"])
     o.add_argument("--train", help="complete training matrix for ose-lrf")
     o.add_argument("--rank", type=int, default=None, help="ose-lrf basis rank")
     o.add_argument("--ridge", type=float, default=0.0)
-    o.add_argument("--seed", type=int, default=0)
-    o.add_argument("--out", required=True)
     o.set_defaults(func=cmd_ose)
 
     b = sub.add_parser("bounds", help="sampling-rate and rank calculators")

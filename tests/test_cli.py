@@ -266,6 +266,99 @@ def test_collapsed_sigma_exits_3(union_dir, tmp_path):
         assert run("stream", *data, "--r", 10, "--n-iter", 3,
                    "--out", tmp_path / "s") == 3
     assert (tmp_path / "c" / "trace.csv").exists()
+    assert (tmp_path / "s" / "trace.csv").exists()
+    assert (tmp_path / "s" / "trace.csv").read_text() == \
+        "t,empirical_cost,empirical_error\n"
+
+
+@pytest.fixture(scope="module")
+def trained_model(union_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("trained")
+    run("stream", "--data", union_dir / "data.csv",
+        "--mask", union_dir / "mask.csv", "--passes", 1, "--r", 10,
+        "--n-iter", 5, "--seed", 0, "--out", out)
+    return out / "model.ckpt"
+
+
+def _frozen_runs(union_dir, tmp_path, ckpt):
+    """ose --model and stream --passes 0 --resume on the same checkpoint."""
+    data = ("--mask", union_dir / "mask.csv", "--n-iter", 10, "--seed", 0)
+    assert run("ose", "--model", ckpt, "--input", union_dir / "data.csv",
+               *data, "--out", tmp_path / "ose") == 0
+    assert run("stream", "--data", union_dir / "data.csv", "--passes", 0,
+               "--resume", ckpt, *data, "--out", tmp_path / "p0") == 0
+    return tmp_path / "ose", tmp_path / "p0"
+
+
+def test_resume_takes_beta_from_checkpoint(union_dir, tmp_path):
+    train = tmp_path / "train"
+    assert run("stream", "--data", union_dir / "data.csv",
+               "--mask", union_dir / "mask.csv", "--kernel", "rbf",
+               "--passes", 1, "--r", 10, "--beta", 1e-2, "--n-iter", 5,
+               "--seed", 0, "--out", train) == 0
+    ose, p0 = _frozen_runs(union_dir, tmp_path, train / "model.ckpt")
+    assert (ose / "completed.csv").read_bytes() == \
+        (p0 / "completed.csv").read_bytes()
+    betas = [load_report(o)["hyperparameters"]["beta"] for o in (ose, p0)]
+    assert betas == [0.01, 0.01]
+
+
+def test_stream_resume_takes_kernel_from_checkpoint(union_dir, tmp_path):
+    train = tmp_path / "train"
+    assert run("stream", "--data", union_dir / "data.csv",
+               "--mask", union_dir / "mask.csv", "--kernel", "poly",
+               "--passes", 1, "--r", 10, "--n-iter", 5, "--seed", 0,
+               "--out", train) == 0
+    ose, p0 = _frozen_runs(union_dir, tmp_path, train / "model.ckpt")
+    assert (ose / "completed.csv").read_bytes() == \
+        (p0 / "completed.csv").read_bytes()
+    assert load_report(p0)["kernel"]["kind"] == "poly"
+    assert run("stream", "--data", union_dir / "data.csv",
+               "--mask", union_dir / "mask.csv", "--passes", 1,
+               "--resume", train / "model.ckpt", "--n-iter", 5,
+               "--out", tmp_path / "p1") == 0
+    assert load_report(tmp_path / "p1")["method"] == "ol-kfmc-poly"
+
+
+def test_ose_truth_shape_mismatch_exit_2(union_dir, trained_model, tmp_path,
+                                         rng):
+    from kfmc.dataio import write_matrix_csv
+    bad = tmp_path / "truth.csv"
+    write_matrix_csv(bad, rng.standard_normal((30, 7)))
+    out = tmp_path / "ose"
+    assert run("ose", "--model", trained_model,
+               "--input", union_dir / "data.csv",
+               "--mask", union_dir / "mask.csv", "--truth", bad,
+               "--out", out) == 2
+    assert not (out / "completed.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("complete", "--method", "kfmc-rbf", "--r", 10, "--t-max", 3),
+    ("complete", "--method", "lrf", "--rank", 3, "--iters", 5),
+    ("stream", "--r", 10, "--n-iter", 3),
+    ("ose", "--n-iter", 3),
+    ("ose", "--baseline", "ose-lrf", "--rank", 19, "--ridge", 1e-6),
+], ids=["complete-kfmc", "complete-lrf", "stream", "ose-kfmc", "ose-lrf"])
+def test_report_has_shared_keys(union_dir, trained_model, tmp_path, argv):
+    data = union_dir / "data.csv"
+    if argv[0] == "ose":
+        source = ("--train", data) if "--baseline" in argv else \
+            ("--model", trained_model)
+        argv = (*argv, "--input", data, *source)
+    else:
+        argv = (*argv, "--data", data)
+    out = tmp_path / "out"
+    assert run(*argv, "--mask", union_dir / "mask.csv", "--seed", 3,
+               "--out", out) == 0
+    report = load_report(out)
+    for key in ("method", "kernel", "hyperparameters", "iterations",
+                "observed_fraction", "relative_error", "seed", "wall_time_s"):
+        assert key in report, key
+    assert report["seed"] == 3
+    assert 0 < report["observed_fraction"] < 1
+    assert report["relative_error"] is not None
+    assert (out / "completed.csv").exists()
 
 
 def _normalized_report(path):
