@@ -71,7 +71,9 @@ def ose_lrf(U: np.ndarray, x: np.ndarray, observed_idx: np.ndarray,
     """Complete one column against an orthonormal basis U.
 
     Missing entries are U_miss (U_obs' U_obs + ridge I)^{-1} U_obs' x_obs;
-    observed entries are returned untouched.
+    observed entries are returned untouched.  With ``ridge == 0`` and fewer
+    observed entries than the rank of U that system is singular, and a
+    ValueError is raised before solving.
     """
     U = np.asarray(U, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -79,6 +81,10 @@ def ose_lrf(U: np.ndarray, x: np.ndarray, observed_idx: np.ndarray,
     if observed_idx.size == 0:
         raise ValueError("at least one observed entry is required")
     m, r = U.shape
+    if ridge == 0 and observed_idx.size < r:
+        raise ValueError(f"{observed_idx.size} observed entries are fewer than "
+                         f"the basis rank {r}: the fit is singular without a "
+                         "ridge > 0")
     mask = np.zeros(m, dtype=bool)
     mask[observed_idx] = True
     Uo = U[mask]

@@ -165,15 +165,21 @@ def _load_model(args, path, m):
     return D, spec, _beta(args, spec, metadata), metadata
 
 
+def _inner_loop_report(iterations: int, hit_limit: int, samples: int) -> dict:
+    """Report keys of the per-sample inner loops: their mean iteration count
+    and how many stopped at --n-iter."""
+    return {"mean_inner_iterations": iterations / samples,
+            "samples_hit_iter_limit": hit_limit}
+
+
 def _complete_frozen(args, D, spec, beta, samples):
     """Completion against a frozen dictionary, plus its inner-loop report keys."""
     X_hat, infos = complete_new(D, samples, spec, beta, n_iter=args.n_iter,
                                 eta=args.eta, tau=args.tau, tol=args.tol,
                                 return_info=True)
-    return X_hat, {
-        "mean_inner_iterations": float(np.mean([i.iterations for i in infos])),
-        "samples_hit_iter_limit": sum(i.hit_iter_limit for i in infos),
-    }
+    return X_hat, _inner_loop_report(sum(i.iterations for i in infos),
+                                     sum(i.hit_iter_limit for i in infos),
+                                     len(infos))
 
 
 def _write_trace(out, index, **columns) -> None:
@@ -278,7 +284,6 @@ def cmd_stream(args) -> int:
         r = args.r if args.r is not None else _default_r(spec, m)
         D0 = None
 
-    inner_loops = {}
     if args.passes == 0:
         X_hat, inner_loops = _complete_frozen(args, D0, spec, beta, samples)
         model = OnlineModel(D0)
@@ -296,6 +301,9 @@ def cmd_stream(args) -> int:
             _write_trace(out, "t", empirical_cost=exc.model.cost_trace,
                          empirical_error=exc.model.err_trace)
             raise
+        inner_loops = _inner_loop_report(model.inner_iterations,
+                                         model.samples_hit_iter_limit,
+                                         model.samples_seen)
 
     _finish(args, out, start, X_hat, mask, truth, {
         "method": f"ol-kfmc-{spec.kind}",
@@ -331,6 +339,12 @@ def cmd_ose(args) -> int:
         if not np.all(np.isfinite(train)):
             raise ValueError("--train matrix must be fully observed")
         U = svd_basis(train, args.rank)
+        for j, (_, idx) in enumerate(samples):
+            if args.ridge == 0 and idx.size < args.rank:
+                raise ValueError(
+                    f"ose-lrf: column {j} has {idx.size} observed entries, "
+                    f"fewer than --rank {args.rank}, so its basis fit is "
+                    "singular; pass --ridge > 0")
         cols = [ose_lrf(U, x, idx, ridge=args.ridge) for x, idx in samples]
         X_hat = np.column_stack(cols)
         payload = {"method": "ose-lrf", "kernel": None,

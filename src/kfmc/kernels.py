@@ -71,19 +71,9 @@ def eval_kernel(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.exp(-d2 / spec.sigma**2))
 
 
-def _check_columns(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.ndim != 2 or B.ndim != 2:
-        raise ValueError("kernel matrix inputs must be 2-d arrays of columns")
-    if A.shape[0] != B.shape[0]:
-        raise ValueError(f"row-count mismatch: {A.shape[0]} vs {B.shape[0]}")
-    return A, B
-
-
 def column_sq_norms(A: np.ndarray) -> np.ndarray:
     """Squared Euclidean norms of the columns of A."""
-    return np.sum(A * A, axis=0)
+    return np.add.reduce(A * A, axis=0)
 
 
 def kernel_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray,
@@ -93,7 +83,12 @@ def kernel_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray,
     ``sq_A`` may hold ``column_sq_norms(A)``, computed once by a caller that
     evaluates many kernels against the same A; the result has the same bits.
     """
-    A, B = _check_columns(A, B)
+    A = np.asarray(A, dtype=float)  # no copy for float64 arrays
+    B = np.asarray(B, dtype=float)
+    if A.ndim != 2 or B.ndim != 2:
+        raise ValueError("kernel matrix inputs must be 2-d arrays of columns")
+    if A.shape[0] != B.shape[0]:
+        raise ValueError(f"row-count mismatch: {A.shape[0]} vs {B.shape[0]}")
     G = A.T @ B
     if spec.is_poly:
         return (G + spec.offset) ** spec.degree
@@ -101,7 +96,7 @@ def kernel_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray,
         sq_A = column_sq_norms(A)
     # exp(-max(|a|^2 + |b|^2 - 2 a'b, 0) / sigma^2), evaluated in place in
     # that order; dividing by -sigma^2 rounds exactly like negating first
-    sq = sq_A[:, None] + column_sq_norms(B)[None, :]
+    sq = sq_A[:, None] + column_sq_norms(B)
     G *= 2.0
     np.subtract(sq, G, out=sq)
     np.maximum(sq, 0.0, out=sq)

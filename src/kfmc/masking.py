@@ -68,10 +68,6 @@ class Mask:
     def observed_fraction(self) -> float:
         return self.n_observed / self._observed.size
 
-    def indices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row and column index arrays of the observed entries."""
-        return np.nonzero(self._observed)
-
     def column_split(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Observed and missing row indices of column j (a partition of range(m))."""
         if not 0 <= j < self.n:

@@ -77,8 +77,6 @@ class OfflineModel:
     dictionary: np.ndarray
     codes: np.ndarray
     mm: MaskedMatrix
-    dict_momentum: np.ndarray
-    completion_momentum: np.ndarray
     objective_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
     iterations: int = 0
     converged: bool = False
@@ -298,8 +296,7 @@ def fit(mm: MaskedMatrix, spec: KernelSpec, hp: OfflineHyperparams,
     def partial_model():
         result = mm.copy()
         result.completion[:] = X
-        return OfflineModel(D, Z, result, mom_D, mom_X,
-                            np.asarray(trace), t, converged)
+        return OfflineModel(D, Z, result, np.asarray(trace), t, converged)
 
     guarded = hp.eta == 0.0
     kernels = _state_kernels(spec, X, D)  # of the current (X, D)

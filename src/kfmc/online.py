@@ -13,7 +13,9 @@ of fixed shape, and a finished column is frozen, so with a fixed b a
 column's bits depend on neither its position nor its neighbours.  Each
 kernel is evaluated once per state and handed to every consumer: K_DD once
 per dictionary, next to the solve operator, and K(D, X) once per block
-state.
+state.  A guarded iteration (eta = 0) therefore costs one kernel, of the
+trial point, plus two objective evaluations that share the code-only terms
+of :func:`_code_terms`; a retried step adds one kernel and one objective.
 """
 from __future__ import annotations
 
@@ -60,12 +62,18 @@ class OnlineHyperparams:
 
 
 class OnlineModel:
-    """Dictionary plus momentum buffer and running diagnostics."""
+    """Dictionary plus momentum buffer and running diagnostics.
+
+    ``inner_iterations`` and ``samples_hit_iter_limit`` total the inner
+    loops of the ``samples_seen`` samples; checkpoints do not store them.
+    """
 
     def __init__(self, dictionary: np.ndarray):
         self.dictionary = np.asarray(dictionary, dtype=float).copy()
         self.dict_momentum = np.zeros_like(self.dictionary)
         self.samples_seen = 0
+        self.inner_iterations = 0
+        self.samples_hit_iter_limit = 0
         self.cost_trace: list[float] = []
         self.err_trace: list[float] = []
 
@@ -89,24 +97,43 @@ class SampleInfo:
     objective: float
 
 
+def _dictionary_reg(spec: KernelSpec, D: np.ndarray) -> float:
+    """Tr K_DD, the dictionary regularizer: r for RBF, whose k(d, d) = 1."""
+    return float(kernel_diag(spec, D).sum()) if spec.is_poly else D.shape[1]
+
+
+def _code_terms(Z: np.ndarray, K_DD: np.ndarray, alpha: float, beta: float,
+                reg_d: float):
+    """The per-sample objective terms that depend only on the codes (r, b)
+    and D: 0.5 z'K_DD z, 0.5 alpha reg_d and 0.5 beta ||z||^2, per column."""
+    return (0.5 * np.add.reduce(Z * (K_DD @ Z), axis=0), 0.5 * alpha * reg_d,
+            0.5 * beta * np.add.reduce(Z * Z, axis=0))
+
+
 def sample_objective(spec: KernelSpec, x: np.ndarray, z: np.ndarray,
                      D: np.ndarray, alpha: float, beta: float,
-                     k_xD=None, K_DD=None):
+                     k_xD=None, K_DD=None, terms=None):
     """Per-sample objective 0.5||phi(x) - phi(D) z||^2 + regularizers.
 
     ``x`` is one column (m,) with its code ``z`` (r,), giving a float, or a
     block (m, b) with codes (r, b), giving one value per column.  ``k_xD``
-    holds k(D, x), shaped like ``z``.
+    holds k(D, x), shaped like ``z``.  ``terms`` holds the code-only terms
+    of :func:`_code_terms` for ``z``, shared by every x evaluated against
+    the same codes; the result has the same bits as without it.
     """
-    X = x.reshape(x.shape[0], -1)
-    Z = z.reshape(z.shape[0], -1)
-    K = kernel_matrix(spec, D, X) if k_xD is None else k_xD.reshape(Z.shape)
-    if K_DD is None:
-        K_DD = kernel_matrix(spec, D, D)
-    fit_term = (0.5 * kernel_diag(spec, X) - (K * Z).sum(axis=0)
-                + 0.5 * (Z * (K_DD @ Z)).sum(axis=0))
-    reg_d = float(kernel_diag(spec, D).sum()) if spec.is_poly else D.shape[1]
-    obj = fit_term + 0.5 * alpha * reg_d + 0.5 * beta * (Z * Z).sum(axis=0)
+    X = x if x.ndim == 2 else x[:, None]
+    Z = z if z.ndim == 2 else z[:, None]
+    if k_xD is None:
+        k_xD = kernel_matrix(spec, D, X)
+    K = k_xD if k_xD.ndim == 2 else k_xD[:, None]
+    if terms is None:
+        if K_DD is None:
+            K_DD = kernel_matrix(spec, D, D)
+        terms = _code_terms(Z, K_DD, alpha, beta, _dictionary_reg(spec, D))
+    quad, reg, ridge = terms
+    # k(x, x) = 1 for RBF
+    self_term = 0.5 * kernel_diag(spec, X) if spec.is_poly else 0.5
+    obj = self_term - np.add.reduce(K * Z, axis=0) + quad + reg + ridge
     return obj if x.ndim == 2 else float(obj[0])
 
 
@@ -119,12 +146,15 @@ def _sample_step(spec: KernelSpec, x: np.ndarray, z: np.ndarray,
         w2 = (D.T @ x + spec.offset) ** (spec.degree - 1)
         grad = w1 * x - D @ (w2 * z)
         return grad / (tau * np.maximum(w1, EPS_DIAG))
-    qv = -(z * k_xD)
-    gamma = qv.sum(axis=0)
-    # |gamma| is the curvature magnitude of the frozen-kernel model; using
-    # the magnitude keeps the step pointed at the stationary point D q/gamma.
-    denom = np.maximum(np.abs(gamma), EPS_DIAG)
-    return (D @ qv - gamma * x) / (tau * denom)
+    # (g x - D P) / (tau |g|) with P = z k(D, x) and g = sum(P).  |g| is the
+    # curvature magnitude of the frozen-kernel model; using the magnitude
+    # keeps the step pointed at the stationary point D P / g.
+    P = z * k_xD
+    g = np.add.reduce(P, axis=0)
+    step = g * x
+    step -= D @ P
+    step /= tau * np.maximum(np.abs(g), EPS_DIAG)
+    return step
 
 
 def _code_system(spec: KernelSpec, D: np.ndarray, beta: float):
@@ -147,39 +177,49 @@ def _complete_block(spec: KernelSpec, D: np.ndarray, system, X: np.ndarray,
     ``system`` comes from :func:`_code_system`; ``X`` is not modified.  A
     column with nothing missing never moves.  A column stops when its
     relative change drops below ``tol`` or its guarded step is rejected, and
-    from then on keeps its values and kernel.  Returns the block, its codes (r, b), k(D, x) of each
-    column (r, b) and one :class:`SampleInfo` per column.  Raises
-    :class:`NumericalError` naming the first non-finite column of the block
-    in ``sample_index``; a non-finite entry stays non-finite, so checking
-    once at the end finds every column that failed on the way.
+    from then on keeps its values and kernel.  Returns the block, its codes
+    (r, b), k(D, x) of each column (r, b) and one :class:`SampleInfo` per
+    column.  Raises :class:`NumericalError` naming the first non-finite
+    column of the block in ``sample_index``; a non-finite entry stays
+    non-finite, so checking once at the end finds every column that failed
+    on the way.
     """
     K_DD, solve_op, sq_D = system
+    guarded = eta == 0.0
+    reg_d = _dictionary_reg(spec, D)
+    tol2 = tol * tol
     momentum = np.zeros_like(X)
     done = ~missing.any(axis=0)
     iterations = np.zeros(X.shape[1], dtype=int)
     K = kernel_matrix(spec, D, X, sq_D)
     for _ in range(n_iter):
-        if done.all():
+        # count_nonzero costs a fraction of .all() / .any() on short arrays
+        if np.count_nonzero(done) == done.size:
             break
         active = ~done
         iterations += active
         Z = solve_op @ K
         step = _sample_step(spec, X, Z, D, K, tau)
-        momentum = eta * momentum + step
+        momentum *= eta
+        momentum += step
         move = missing & active
         X_try = np.where(move, X - momentum, X)
-        if eta == 0.0:
+        if guarded:
             # guarded Newton: a step that raises the per-sample objective is
-            # retried once at doubled relaxation (half the step), then rejected
-            before = sample_objective(spec, X, Z, D, alpha, beta, K, K_DD)
+            # retried once at doubled relaxation (half the step), then
+            # rejected.  Every objective of this iteration shares Z, and so
+            # its code-only terms.
+            terms = _code_terms(Z, K_DD, alpha, beta, reg_d)
+            before = sample_objective(spec, X, Z, D, alpha, beta, K, K_DD, terms)
             K_try = kernel_matrix(spec, D, X_try, sq_D)
-            after = sample_objective(spec, X_try, Z, D, alpha, beta, K_try, K_DD)
+            after = sample_objective(spec, X_try, Z, D, alpha, beta, K_try,
+                                     K_DD, terms)
             retry = active & (after > before)
-            if retry.any():
+            if np.count_nonzero(retry):
                 X_try = np.where(move & retry, X - 0.5 * step, X_try)
                 K_try = kernel_matrix(spec, D, X_try, sq_D)
                 after = sample_objective(spec, X_try, Z, D, alpha, beta, K_try,
-                                         K_DD)
+                                         K_DD, terms)
                 rejected = retry & (after > before)
                 done |= rejected
                 X_try = np.where(rejected, X, X_try)
@@ -187,15 +227,18 @@ def _complete_block(spec: KernelSpec, D: np.ndarray, system, X: np.ndarray,
         # relative change of the missing entries, compared squared (dX is
         # zero at observed entries and in frozen columns)
         dX = X_try - X
+        dX *= dX
         X_miss = np.where(missing, X, 0.0)
-        done |= (dX * dX).sum(axis=0) < \
-            tol * tol * np.maximum((X_miss * X_miss).sum(axis=0), 1e-60)
+        X_miss *= X_miss
+        done |= np.add.reduce(dX, axis=0) < \
+            tol2 * np.maximum(np.add.reduce(X_miss, axis=0), 1e-60)
         X = X_try
         # a trial point's kernel was evaluated for its objective; a column
         # that did not move gets the same bits from the same values
-        K = K_try if eta == 0.0 else kernel_matrix(spec, D, X, sq_D)
+        K = K_try if guarded else kernel_matrix(spec, D, X, sq_D)
     Z = solve_op @ K
-    objective = sample_objective(spec, X, Z, D, alpha, beta, K, K_DD)
+    objective = sample_objective(spec, X, Z, D, alpha, beta, K, K_DD,
+                                 _code_terms(Z, K_DD, alpha, beta, reg_d))
     failed = ~(np.isfinite(X).all(axis=0) & np.isfinite(Z).all(axis=0)
                & np.isfinite(objective))
     if failed.any():
@@ -293,7 +336,8 @@ def run_stream(samples, spec: KernelSpec, hp: OnlineHyperparams,
     Between passes each column keeps its latest completion as the warm
     start.  Tracks the running empirical cost (mean of each sample's most
     recent terminal objective) and, when ground truth is supplied, the
-    running mean relative recovery error per visit.
+    running mean relative recovery error per visit.  The model totals the
+    inner-loop iterations and the samples that hit ``n_iter``.
 
     Returns the completed matrix in stream order and the model.
     """
@@ -328,6 +372,8 @@ def run_stream(samples, spec: KernelSpec, hp: OnlineHyperparams,
                 raise
             work[:, j] = x_hat
             model.samples_seen += 1
+            model.inner_iterations += info.iterations
+            model.samples_hit_iter_limit += info.hit_iter_limit
             if np.isnan(last_cost[j]):
                 seen += 1
                 cost_sum += info.objective

@@ -78,6 +78,14 @@ def test_ose_lrf_exact_on_span(rng):
     assert np.allclose(out, x, atol=1e-10)
 
 
+def test_ose_lrf_without_ridge_needs_rank_many_observed_entries(rng):
+    U = svd_basis(rng.standard_normal((6, 10)), 4)
+    x = rng.standard_normal(6)
+    with pytest.raises(ValueError, match="3 observed entries .* rank 4"):
+        ose_lrf(U, x, np.array([0, 2, 5]), ridge=0.0)
+    assert np.all(np.isfinite(ose_lrf(U, x, np.array([0, 2, 5]), ridge=1e-3)))
+
+
 def test_ose_lrf_ridge_limit(rng):
     U = svd_basis(rng.standard_normal((5, 8)), 2)
     x = rng.standard_normal(5)

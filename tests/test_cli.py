@@ -215,6 +215,36 @@ def test_ose_lrf_baseline(union_dir, tmp_path):
     assert report["relative_error"] is not None
 
 
+def test_ose_lrf_rank_above_observed_count_exit_2(tmp_path, capsys):
+    data = tmp_path / "d"
+    run("gen", "--preset", "union-nonlinear", "--missing", "0.3", "--seed", 1,
+        "--out", data)
+    counts = read_mask_csv(data / "mask.csv").observed.sum(axis=0)
+    first = int(np.argmax(counts < 19))
+    assert counts[first] < 19
+    out = tmp_path / "oselrf"
+    assert run("ose", "--baseline", "ose-lrf", "--train", data / "data.csv",
+               "--rank", 19, "--input", data / "data.csv",
+               "--mask", data / "mask.csv", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"column {first} has {counts[first]} observed entries" in err
+    assert "--rank 19" in err and "--ridge > 0" in err
+    assert "Singular matrix" not in err
+    assert not (out / "completed.csv").exists()
+
+
+def test_stream_reports_inner_loops(union_dir, tmp_path):
+    out = tmp_path / "s"
+    assert run("stream", "--data", union_dir / "data.csv",
+               "--mask", union_dir / "mask.csv", "--passes", 2, "--r", 10,
+               "--n-iter", 5, "--seed", 0, "--out", out) == 0
+    report = load_report(out)
+    # every one of the 2 x 100 visits runs into the cap of 5
+    assert report["mean_inner_iterations"] == 5.0
+    assert report["samples_hit_iter_limit"] == 200
+    assert report["iterations"] == 200
+
+
 def test_bounds_values(tmp_path, capsys):
     assert run("bounds", "--m", 20, "--d", 2, "--p", 2, "--u", 3, "--q", 2,
                "--n", 300) == 0

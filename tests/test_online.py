@@ -300,3 +300,24 @@ def test_out_of_range_observed_index_rejected(bad):
         complete_new(D, [(x, [0, bad])], spec, beta=0.1)
     with pytest.raises(ValueError, match="observed indices"):
         run_stream([(x, [0, bad])], spec, OnlineHyperparams(r=3))
+
+
+def test_run_stream_totals_each_sample_inner_loop(monkeypatch):
+    infos = []
+    real = online.complete_sample
+
+    def recorded(*args, **kwargs):
+        result = real(*args, **kwargs)
+        infos.append(result[2])
+        return result
+
+    monkeypatch.setattr(online, "complete_sample", recorded)
+    X_true, mask, samples = _stream_instance(n=40)
+    hp = OnlineHyperparams(r=20, beta=1e-3, eta=0.0, n_iter=8, n_pass=2,
+                           tol=1e-3, seed=0)
+    _, model = run_stream(samples, KernelSpec.rbf(2.5), hp)
+    assert len(infos) == model.samples_seen == 80
+    assert model.inner_iterations == sum(i.iterations for i in infos)
+    assert model.samples_hit_iter_limit == sum(i.hit_iter_limit for i in infos)
+    # the run mixes samples that stop early with samples that hit the cap
+    assert 0 < model.samples_hit_iter_limit < 80
