@@ -16,8 +16,8 @@ del _os, _threads
 
 from .exceptions import NumericalError
 from .kernels import KernelSpec, eval_kernel, kernel_diag, kernel_matrix, power_weights
-from .masking import Mask, MaskedMatrix, column_view, impute_init, project_observed
-from .metrics import masked_relative_error, numerical_rank, relative_error
+from .masking import Mask, MaskedMatrix, impute_init, project_observed
+from .metrics import numerical_rank, relative_error
 from .bounds import (ProblemShape, dof_observed_per_column, expected_rank_X,
                      expected_rank_phi, rbf_poly_truncation_error, rho_kfmc,
                      rho_kfmc_raw, rho_lrmc, rho_lrmc_raw, sampling_report)
@@ -37,8 +37,8 @@ __version__ = "0.1.0"
 __all__ = [
     "NumericalError",
     "KernelSpec", "eval_kernel", "kernel_diag", "kernel_matrix", "power_weights",
-    "Mask", "MaskedMatrix", "column_view", "impute_init", "project_observed",
-    "masked_relative_error", "numerical_rank", "relative_error",
+    "Mask", "MaskedMatrix", "impute_init", "project_observed",
+    "numerical_rank", "relative_error",
     "ProblemShape", "dof_observed_per_column", "expected_rank_X",
     "expected_rank_phi", "rbf_poly_truncation_error", "rho_kfmc",
     "rho_kfmc_raw", "rho_lrmc", "rho_lrmc_raw", "sampling_report",

@@ -20,18 +20,6 @@ class Mask:
         self._observed.setflags(write=False)
 
     @classmethod
-    def from_indices(cls, m: int, n: int, pairs) -> "Mask":
-        """Build from (row, col) pairs; rejects out-of-range or duplicate pairs."""
-        observed = np.zeros((m, n), dtype=bool)
-        for i, j in pairs:
-            if not (0 <= i < m and 0 <= j < n):
-                raise ValueError(f"index ({i}, {j}) outside [0,{m})x[0,{n})")
-            if observed[i, j]:
-                raise ValueError(f"duplicate index ({i}, {j})")
-            observed[i, j] = True
-        return cls(observed)
-
-    @classmethod
     def from_dense(cls, M: np.ndarray) -> "Mask":
         """Observed wherever M is finite (NaN marks missing)."""
         return cls(np.isfinite(np.asarray(M, dtype=float)))
@@ -51,10 +39,6 @@ class Mask:
     @property
     def shape(self) -> tuple[int, int]:
         return self._observed.shape
-
-    @property
-    def m(self) -> int:
-        return self._observed.shape[0]
 
     @property
     def n(self) -> int:
@@ -129,9 +113,3 @@ def project_observed(mm: MaskedMatrix) -> MaskedMatrix:
     obs = mm.mask.observed
     mm.completion[obs] = mm.values[obs]
     return mm
-
-
-def column_view(mm: MaskedMatrix, j: int):
-    """Column j of the completion plus its observed/missing row index sets."""
-    obs_idx, miss_idx = mm.mask.column_split(j)
-    return mm.completion[:, j].copy(), obs_idx, miss_idx

@@ -3,8 +3,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .masking import Mask
-
 
 def relative_error(X_hat: np.ndarray, X_true: np.ndarray) -> float:
     """Frobenius-norm ratio ||X_hat - X_true||_F / ||X_true||_F."""
@@ -26,23 +24,3 @@ def numerical_rank(X: np.ndarray, rel_tol: float = 1e-8) -> int:
     if s.size == 0 or s[0] == 0:
         return 0
     return int(np.sum(s > rel_tol * s[0]))
-
-
-def masked_relative_error(X_hat: np.ndarray, X_true: np.ndarray, mask: Mask,
-                          over: str = "missing_only") -> float:
-    """Relative error restricted to the missing entries (or to all entries)."""
-    X_hat = np.asarray(X_hat, dtype=float)
-    X_true = np.asarray(X_true, dtype=float)
-    if X_hat.shape != X_true.shape or X_hat.shape != mask.shape:
-        raise ValueError("shape mismatch between matrices and mask")
-    if over == "all":
-        return relative_error(X_hat, X_true)
-    if over != "missing_only":
-        raise ValueError(f"unknown restriction {over!r}")
-    sel = mask.missing
-    if not sel.any():
-        raise ValueError("no missing entries to restrict to")
-    denom = np.linalg.norm(X_true[sel])
-    if denom == 0:
-        raise ValueError("reference matrix has zero norm on the missing set")
-    return float(np.linalg.norm(X_hat[sel] - X_true[sel]) / denom)

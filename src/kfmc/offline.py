@@ -11,11 +11,15 @@ sweep.  For the RBF kernel the alpha term is a constant.
 The kernels (K_XD, K_DD) of each (X, D) state are evaluated once and handed
 to every consumer through its optional ``kernels`` argument.
 
-All three solvers (batch, streaming and out-of-sample) solve for codes with
-one operator, S = (K_DD + beta I)^-1, built by :func:`_solve_operator` from a
-Cholesky factor and applied as one matrix product.  Solving the n right-hand
-sides of K_XD' against the factor instead (LAPACK potrs) runs about 6x
-slower than the product of the same shape.
+All three solvers (batch, streaming and out-of-sample) share this module's
+algebra.  Codes come from one operator, S = (K_DD + beta I)^-1, built by
+:func:`_solve_operator` from a Cholesky factor and applied as one product
+(LAPACK potrs on the factor runs about 6x slower).  The objective sums
+:func:`_column_objective` over the columns; the completion update is the
+column-wise :func:`_sample_step`, a column's gradient over the curvature of
+its frozen-weight model.  For poly both carry the factor q = degree, which
+cancels.  RBF divides by the curvature's magnitude, so it descends even
+where sum(z k(D, x)) < 0.
 """
 from __future__ import annotations
 
@@ -26,11 +30,29 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.lapack import dpotri
 
 from .exceptions import NumericalError
-from .kernels import KernelSpec, kernel_diag, kernel_matrix, power_weights
+from .kernels import (KernelSpec, column_sq_norms, kernel_diag, kernel_matrix,
+                      power_weights)
 from .masking import MaskedMatrix
 
 # Floor for the diagonal Newton scalings of the completion update.
 EPS_DIAG = 1e-12
+
+
+def _check_settings(*, tau: float, eta: float, r: int = 1, alpha: float = 0.0,
+                    beta: float = 0.0, n_iter: int = 1) -> None:
+    """Raise ValueError unless r >= 1, tau > 1, alpha, beta >= 0, eta lies
+    in [0, 1) and n_iter >= 1: the settings every solver shares.  A setting
+    a solver does not have keeps its valid default."""
+    if not r >= 1:
+        raise ValueError("dictionary size r must be >= 1")
+    if not tau > 1:
+        raise ValueError("tau must be > 1")
+    if not (alpha >= 0 and beta >= 0):
+        raise ValueError("alpha and beta must be >= 0")
+    if not 0 <= eta < 1:
+        raise ValueError("eta must lie in [0, 1)")
+    if not n_iter >= 1:
+        raise ValueError("n_iter must be >= 1")
 
 
 @dataclass
@@ -54,18 +76,10 @@ class OfflineHyperparams:
     dict_init: str = "normal"
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ValueError("dictionary size r must be >= 1")
+        _check_settings(r=self.r, alpha=self.alpha, beta=self.beta,
+                        tau=self.tau, eta=self.eta)
         if self.dict_init not in ("normal", "data"):
             raise ValueError("dict_init must be 'normal' or 'data'")
-        if not self.tau > 1:
-            raise ValueError("tau must be > 1")
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        if not 0 <= self.eta < 1:
-            raise ValueError("eta must lie in [0, 1)")
         if self.t_max < 1:
             raise ValueError("t_max must be >= 1")
 
@@ -93,15 +107,38 @@ def _state_kernels(spec: KernelSpec, X: np.ndarray, D: np.ndarray, kernels=None)
     return kernels
 
 
+def _dictionary_reg(spec: KernelSpec, D: np.ndarray) -> float:
+    """Tr K_DD, the dictionary regularizer: r for RBF, whose k(d, d) = 1."""
+    return float(kernel_diag(spec, D).sum()) if spec.is_poly else D.shape[1]
+
+
+def _code_terms(Z: np.ndarray, K_DD: np.ndarray, alpha: float, beta: float,
+                reg_d: float):
+    """The per-sample objective terms that depend only on the codes (r, b)
+    and D: 0.5 z'K_DD z, 0.5 alpha reg_d and 0.5 beta ||z||^2, per column."""
+    return (0.5 * np.add.reduce(Z * (K_DD @ Z), axis=0), 0.5 * alpha * reg_d,
+            0.5 * beta * np.add.reduce(Z * Z, axis=0))
+
+
+def _column_objective(spec: KernelSpec, X: np.ndarray, Z: np.ndarray,
+                      K: np.ndarray, terms) -> np.ndarray:
+    """Per-column objective of the columns X (m, b) with codes Z (r, b),
+    K = k(D, X) (r, b) and the code-only ``terms`` of :func:`_code_terms`."""
+    quad, reg, ridge = terms
+    # k(x, x) = 1 for RBF
+    self_term = 0.5 * kernel_diag(spec, X) if spec.is_poly else 0.5
+    return self_term - np.add.reduce(K * Z, axis=0) + quad + reg + ridge
+
+
 def objective(spec: KernelSpec, X: np.ndarray, D: np.ndarray, Z: np.ndarray,
               alpha: float, beta: float, kernels=None) -> float:
-    """Value of the kernelized factorization objective at (X, D, Z)."""
+    """Value of the kernelized factorization objective at (X, D, Z): the
+    per-column objective without its dictionary term, summed over the
+    columns, plus the dictionary term once."""
     K_XD, K_DD = _state_kernels(spec, X, D, kernels)
-    fit_term = 0.5 * (kernel_diag(spec, X).sum()
-                      - 2.0 * float(np.sum(K_XD * Z.T))
-                      + float(np.sum(Z * (K_DD @ Z))))
-    return fit_term + 0.5 * alpha * kernel_diag(spec, D).sum() \
-        + 0.5 * beta * float(np.sum(Z * Z))
+    columns = _column_objective(spec, X, Z, K_XD.T,
+                                _code_terms(Z, K_DD, 0.0, beta, 0.0))
+    return float(columns.sum()) + 0.5 * alpha * _dictionary_reg(spec, D)
 
 
 def _solve_operator(K_DD: np.ndarray, beta: float,
@@ -175,25 +212,6 @@ def grad_dictionary_rbf(spec: KernelSpec, X: np.ndarray, D: np.ndarray,
     return _rbf_dictionary_parts(spec, X, D, Z, alpha, kernels)[0]
 
 
-def _rbf_completion_parts(spec, X, D, Z, kernels):
-    """RBF completion gradient and its per-column diagonal curvature."""
-    s2 = spec.sigma**2
-    K_XD = kernel_matrix(spec, X, D) if kernels is None else kernels[0]
-    Q3 = -(Z * K_XD.T)
-    g3 = Q3.sum(axis=0)
-    return (2.0 / s2) * (D @ Q3 - X * g3), -(2.0 / s2) * g3
-
-
-def grad_completion_rbf(spec: KernelSpec, X: np.ndarray, D: np.ndarray,
-                        Z: np.ndarray, kernels=None) -> np.ndarray:
-    """Exact completion gradient of :func:`objective` for the RBF kernel.
-
-    The self-similarity term is constant (k(x, x) = 1), so only the
-    cross-kernel term contributes.
-    """
-    return _rbf_completion_parts(spec, X, D, Z, kernels)[0]
-
-
 def _solve_right(G: np.ndarray, M: np.ndarray, *, spd: bool) -> np.ndarray:
     """Return G @ M^{-1} for symmetric M: Cholesky if SPD, else LU.
 
@@ -235,25 +253,38 @@ def dictionary_step(spec: KernelSpec, X: np.ndarray, D: np.ndarray,
     return step
 
 
+def _sample_step(spec: KernelSpec, x: np.ndarray, z: np.ndarray,
+                 D: np.ndarray, k_xD: np.ndarray, tau: float) -> np.ndarray:
+    """Relaxed Newton increment (x moves by -step) on one column (m,), or
+    column-wise on a block (m, b) with codes and k(D, x) of shape (r, b)."""
+    if spec.is_poly:
+        w1 = (column_sq_norms(x) + spec.offset) ** (spec.degree - 1)
+        w2 = (D.T @ x + spec.offset) ** (spec.degree - 1)
+        grad = w1 * x - D @ (w2 * z)
+        return grad / (tau * np.maximum(w1, EPS_DIAG))
+    # (g x - D P) / (tau |g|) with P = z k(D, x) and g = sum(P).  |g| is the
+    # curvature magnitude of the frozen-kernel model; using the magnitude
+    # keeps the step pointed at the stationary point D P / g.
+    P = z * k_xD
+    g = np.add.reduce(P, axis=0)
+    step = g * x
+    step -= D @ P
+    step /= tau * np.maximum(np.abs(g), EPS_DIAG)
+    return step
+
+
 def completion_step(spec: KernelSpec, X: np.ndarray, D: np.ndarray,
                     Z: np.ndarray, tau: float, kernels=None) -> np.ndarray:
-    """Relaxed Newton increment for the completion (X moves by -step).
+    """Relaxed Newton increment for the completion (X moves by -step): the
+    column-wise step of :func:`_sample_step` on every column of X.
 
     The scaling is diagonal per column, so the step restricted to the
     unobserved entries is itself a valid step.
     """
-    if spec.is_poly:
-        q = spec.degree
-        w = (np.sum(X * X, axis=0) + spec.offset) ** (q - 1)
-        W4 = power_weights(spec, X.T @ D)
-        g = q * (X * w) - q * (D @ (W4.T * Z))
-        scale = np.maximum(w, EPS_DIAG)
-    else:
-        # Self-similarity contributions cancel for RBF: the diagonal Newton
-        # scaling collapses to the column sums of the cross-kernel term.
-        g, d = _rbf_completion_parts(spec, X, D, Z, kernels)
-        scale = np.where(d >= 0, np.maximum(d, EPS_DIAG), np.minimum(d, -EPS_DIAG))
-    step = (1.0 / tau) * g / scale
+    K = None
+    if spec.is_rbf:
+        K = kernel_matrix(spec, D, X) if kernels is None else kernels[0].T
+    step = _sample_step(spec, X, Z, D, K, tau)
     if not np.all(np.isfinite(step)):
         raise NumericalError("completion step produced non-finite values")
     return step

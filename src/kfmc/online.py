@@ -3,6 +3,8 @@
 Each incoming column is completed by alternating an exact code solve with a
 relaxed Newton step on its unobserved entries, after which the dictionary
 takes one gradient step scaled by the spectral norm of the local curvature.
+The step, the per-column objective and the code solve are the batch
+solver's (:mod:`kfmc.offline`), so all three solvers share one algebra.
 Model state is O(m*r + r^2); nothing sized by the stream length is stored.
 
 One inner loop, :func:`_complete_block`, serves the streaming and the
@@ -24,10 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericalError
-from .kernels import (KernelSpec, column_sq_norms, kernel_diag, kernel_matrix,
-                      power_weights)
-from .offline import (EPS_DIAG, _poly_dictionary_hessian, _rbf_dictionary_parts,
-                      _solve_operator, grad_dictionary_poly_frozen)
+from .kernels import KernelSpec, column_sq_norms, kernel_matrix, power_weights
+from .offline import (_check_settings, _code_terms, _column_objective,
+                      _dictionary_reg, _poly_dictionary_hessian,
+                      _rbf_dictionary_parts, _sample_step, _solve_operator,
+                      grad_dictionary_poly_frozen)
 
 # Floor for the spectral-norm scaling of the dictionary update.
 EPS_NORM = 1e-12
@@ -49,16 +52,10 @@ class OnlineHyperparams:
     seed: int | None = 0
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ValueError("dictionary size r must be >= 1")
-        if not self.tau > 1:
-            raise ValueError("tau must be > 1")
-        if self.beta < 0 or self.alpha < 0:
-            raise ValueError("alpha and beta must be >= 0")
-        if not 0 <= self.eta < 1:
-            raise ValueError("eta must lie in [0, 1)")
-        if self.n_iter < 1 or self.n_pass < 1:
-            raise ValueError("n_iter and n_pass must be >= 1")
+        _check_settings(r=self.r, alpha=self.alpha, beta=self.beta,
+                        tau=self.tau, eta=self.eta, n_iter=self.n_iter)
+        if self.n_pass < 1:
+            raise ValueError("n_pass must be >= 1")
 
 
 class OnlineModel:
@@ -82,10 +79,6 @@ class OnlineModel:
         rng = np.random.default_rng(seed)
         return cls(rng.standard_normal((m, r)))
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.dictionary.shape
-
 
 @dataclass(frozen=True)
 class SampleInfo:
@@ -95,19 +88,6 @@ class SampleInfo:
     hit_iter_limit: bool
     iterations: int
     objective: float
-
-
-def _dictionary_reg(spec: KernelSpec, D: np.ndarray) -> float:
-    """Tr K_DD, the dictionary regularizer: r for RBF, whose k(d, d) = 1."""
-    return float(kernel_diag(spec, D).sum()) if spec.is_poly else D.shape[1]
-
-
-def _code_terms(Z: np.ndarray, K_DD: np.ndarray, alpha: float, beta: float,
-                reg_d: float):
-    """The per-sample objective terms that depend only on the codes (r, b)
-    and D: 0.5 z'K_DD z, 0.5 alpha reg_d and 0.5 beta ||z||^2, per column."""
-    return (0.5 * np.add.reduce(Z * (K_DD @ Z), axis=0), 0.5 * alpha * reg_d,
-            0.5 * beta * np.add.reduce(Z * Z, axis=0))
 
 
 def sample_objective(spec: KernelSpec, x: np.ndarray, z: np.ndarray,
@@ -130,31 +110,8 @@ def sample_objective(spec: KernelSpec, x: np.ndarray, z: np.ndarray,
         if K_DD is None:
             K_DD = kernel_matrix(spec, D, D)
         terms = _code_terms(Z, K_DD, alpha, beta, _dictionary_reg(spec, D))
-    quad, reg, ridge = terms
-    # k(x, x) = 1 for RBF
-    self_term = 0.5 * kernel_diag(spec, X) if spec.is_poly else 0.5
-    obj = self_term - np.add.reduce(K * Z, axis=0) + quad + reg + ridge
+    obj = _column_objective(spec, X, Z, K, terms)
     return obj if x.ndim == 2 else float(obj[0])
-
-
-def _sample_step(spec: KernelSpec, x: np.ndarray, z: np.ndarray,
-                 D: np.ndarray, k_xD: np.ndarray, tau: float) -> np.ndarray:
-    """Relaxed Newton increment (x moves by -step) on one column (m,), or
-    column-wise on a block (m, b) with codes and k(D, x) of shape (r, b)."""
-    if spec.is_poly:
-        w1 = (column_sq_norms(x) + spec.offset) ** (spec.degree - 1)
-        w2 = (D.T @ x + spec.offset) ** (spec.degree - 1)
-        grad = w1 * x - D @ (w2 * z)
-        return grad / (tau * np.maximum(w1, EPS_DIAG))
-    # (g x - D P) / (tau |g|) with P = z k(D, x) and g = sum(P).  |g| is the
-    # curvature magnitude of the frozen-kernel model; using the magnitude
-    # keeps the step pointed at the stationary point D P / g.
-    P = z * k_xD
-    g = np.add.reduce(P, axis=0)
-    step = g * x
-    step -= D @ P
-    step /= tau * np.maximum(np.abs(g), EPS_DIAG)
-    return step
 
 
 def _code_system(spec: KernelSpec, D: np.ndarray, beta: float):

@@ -16,7 +16,7 @@ import numpy as np
 from .exceptions import NumericalError
 from .kernels import KernelSpec
 from .masking import Mask, impute_init
-from .offline import OfflineHyperparams, fit
+from .offline import OfflineHyperparams, _check_settings, fit
 from .online import SampleInfo, _code_system, _complete_block, _prepare_column
 
 # Columns per block.  Wider blocks make a single-column request, padded to
@@ -48,10 +48,12 @@ def complete_new(D: np.ndarray, samples, spec: KernelSpec, beta: float,
     The code system of D is built once for the whole batch; the samples
     then run the streaming solver's inner loop, minus any dictionary update,
     in zero-padded blocks of :data:`BLOCK` columns.  Results are bitwise
-    independent of batch composition and order.  A :class:`NumericalError`
-    names the failing sample in ``sample_index``.
+    independent of batch composition and order.  A bad tau, eta or n_iter
+    raises ValueError.  A :class:`NumericalError` names a failing sample in
+    ``sample_index``; an indefinite K_DD + beta I raises one up front.
     """
     D = np.asarray(D, dtype=float)
+    _check_settings(tau=tau, eta=eta, n_iter=n_iter)
     system = _code_system(spec, D, beta)
     columns = [_prepare_column(x, idx, D) for x, idx in samples]
     m, n = D.shape[0], len(columns)

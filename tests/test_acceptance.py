@@ -14,7 +14,7 @@ from kfmc import (KernelSpec, OfflineHyperparams, OnlineHyperparams,
 from kfmc.cli import main as cli_main
 from kfmc.dataio import read_json
 from kfmc.kernels import kernel_matrix, power_weights
-from kfmc.offline import (dictionary_step, fit, grad_completion_rbf,
+from kfmc.offline import (completion_step, dictionary_step, fit,
                           grad_dictionary_poly_frozen, grad_dictionary_rbf,
                           objective, solve_codes)
 from kfmc.online import OnlineModel, complete_sample, update_dictionary
@@ -128,7 +128,9 @@ def test_criterion_4_highrank_vs_lowrank(union_problem, lrf_baseline):
 
 def test_criterion_5_optimization_invariants(rng):
     with Timer(60) as t:
-        # finite differences of the exact RBF gradients at m, n, r <= 5
+        # finite differences of the exact RBF dictionary gradient and of the
+        # completion gradients behind the shipped step (step * tau times the
+        # curvature it divides by), RBF and poly of degree 1-3, at m, n, r <= 5
         def fd(f, A, h=1e-6):
             G = np.zeros_like(A)
             for idx in np.ndindex(A.shape):
@@ -148,9 +150,18 @@ def test_criterion_5_optimization_invariants(rng):
             g = grad_dictionary_rbf(spec, X, D, Z, alpha)
             g_fd = fd(lambda DD: objective(spec, X, DD, Z, alpha, beta), D)
             assert np.linalg.norm(g - g_fd) <= 1e-5 * np.linalg.norm(g_fd)
-            g = grad_completion_rbf(spec, X, D, Z)
-            g_fd = fd(lambda XX: objective(spec, XX, D, Z, alpha, beta), X)
-            assert np.linalg.norm(g - g_fd) <= 1e-5 * np.linalg.norm(g_fd)
+            poly = KernelSpec.poly(1 + trial % 3, 0.5 + r.uniform())
+            for cspec in (spec, poly):
+                step = completion_step(cspec, X, D, Z, 2.0)
+                if cspec.is_poly:
+                    w1 = (np.sum(X * X, axis=0) + cspec.offset) ** (
+                        cspec.degree - 1)
+                    g = step * 2.0 * cspec.degree * w1
+                else:
+                    k_sum = np.sum(Z * kernel_matrix(cspec, D, X), axis=0)
+                    g = step * 2.0 * (2.0 / cspec.sigma**2) * np.abs(k_sum)
+                g_fd = fd(lambda XX: objective(cspec, XX, D, Z, alpha, beta), X)
+                assert np.linalg.norm(g - g_fd) <= 1e-5 * np.linalg.norm(g_fd)
 
         # eta = 0 objective traces are monotone non-increasing
         X_true, _ = kfmc.generate(SyntheticSpec(d=3, p=3, u=1, m=20,

@@ -320,6 +320,25 @@ def _frozen_runs(union_dir, tmp_path, ckpt):
     return tmp_path / "ose", tmp_path / "p0"
 
 
+@pytest.mark.parametrize("flags", [("--tau", 0.5), ("--tau", 0),
+                                   ("--eta", 1.5), ("--eta", -0.1),
+                                   ("--n-iter", 0)],
+                         ids=["tau-0.5", "tau-0", "eta-1.5", "eta-neg",
+                              "n-iter-0"])
+@pytest.mark.parametrize("command", ["ose", "stream-passes-0"])
+def test_frozen_runs_reject_bad_solver_settings_exit_2(
+        union_dir, trained_model, tmp_path, command, flags):
+    data = ("--mask", union_dir / "mask.csv", *flags, "--out", tmp_path / "o")
+    if command == "ose":
+        argv = ("ose", "--model", trained_model, "--input",
+                union_dir / "data.csv", *data)
+    else:
+        argv = ("stream", "--passes", 0, "--resume", trained_model,
+                "--data", union_dir / "data.csv", *data)
+    assert run(*argv) == 2
+    assert not (tmp_path / "o" / "completed.csv").exists()
+
+
 def test_resume_takes_beta_from_checkpoint(union_dir, tmp_path):
     train = tmp_path / "train"
     assert run("stream", "--data", union_dir / "data.csv",

@@ -1,21 +1,11 @@
 import numpy as np
 import pytest
 
-from kfmc import Mask, column_view, impute_init, project_observed
-
-
-def test_mask_from_indices_validates():
-    Mask.from_indices(2, 2, [(0, 0), (1, 1)])
-    with pytest.raises(ValueError):
-        Mask.from_indices(2, 2, [(0, 0), (0, 0)])
-    with pytest.raises(ValueError):
-        Mask.from_indices(2, 2, [(2, 0)])
-    with pytest.raises(ValueError):
-        Mask.from_indices(2, 2, [(0, -1)])
+from kfmc import Mask, impute_init, project_observed
 
 
 def test_observed_fraction():
-    mask = Mask.from_indices(2, 3, [(0, 0), (1, 2)])
+    mask = Mask(np.array([[True, False, False], [False, False, True]]))
     assert mask.observed_fraction == pytest.approx(2 / 6)
     assert Mask.full(3, 3).observed_fraction == 1.0
 
@@ -81,24 +71,3 @@ def test_project_full_mask_resets_everything(rng):
     project_observed(mm)
     assert np.array_equal(mm.completion, M)
 
-
-def test_column_view_partition(rng):
-    M = rng.standard_normal((7, 9))
-    mask = Mask(rng.uniform(size=(7, 9)) < 0.5)
-    mm = impute_init(M, mask)
-    for j in range(9):
-        _, obs, miss = column_view(mm, j)
-        merged = np.sort(np.concatenate([obs, miss]))
-        assert np.array_equal(merged, np.arange(7))
-        assert np.intersect1d(obs, miss).size == 0
-
-
-def test_column_view_extremes():
-    M = np.array([[1.0, np.nan], [2.0, np.nan]])
-    mm = impute_init(M, Mask.from_dense(M))
-    _, obs, miss = column_view(mm, 0)
-    assert miss.size == 0 and obs.size == 2
-    _, obs, miss = column_view(mm, 1)
-    assert obs.size == 0 and miss.size == 2
-    with pytest.raises(ValueError):
-        column_view(mm, 2)

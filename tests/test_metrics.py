@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from kfmc import (Mask, SyntheticSpec, generate, masked_relative_error,
-                  numerical_rank, relative_error)
+from kfmc import SyntheticSpec, generate, numerical_rank, relative_error
 
 
 def test_relative_error_trivial_cases(rng):
@@ -45,39 +44,3 @@ def test_numerical_rank_column_permutation_invariant(rng):
     perm = rng.permutation(10)
     assert numerical_rank(X) == numerical_rank(X[:, perm])
 
-
-def test_masked_relative_error_all_equals_plain(rng):
-    X = rng.standard_normal((5, 6))
-    Y = rng.standard_normal((5, 6))
-    mask = Mask(rng.uniform(size=(5, 6)) < 0.5)
-    assert masked_relative_error(Y, X, mask, over="all") == pytest.approx(
-        relative_error(Y, X))
-
-
-def test_masked_relative_error_missing_only(rng):
-    X = rng.standard_normal((5, 6))
-    mask = Mask(rng.uniform(size=(5, 6)) < 0.5)
-    Y = X.copy()
-    Y[mask.observed] += rng.standard_normal(int(mask.observed.sum()))
-    assert masked_relative_error(Y, X, mask, over="missing_only") == 0.0
-
-
-def test_masked_relative_error_matches_loop(rng):
-    X = rng.standard_normal((5, 6))
-    Y = rng.standard_normal((5, 6))
-    mask = Mask(rng.uniform(size=(5, 6)) < 0.5)
-    num = 0.0
-    den = 0.0
-    for i in range(5):
-        for j in range(6):
-            if not mask.observed[i, j]:
-                num += (Y[i, j] - X[i, j]) ** 2
-                den += X[i, j] ** 2
-    expected = np.sqrt(num / den)
-    assert masked_relative_error(Y, X, mask) == pytest.approx(expected)
-
-
-def test_masked_relative_error_empty_restriction(rng):
-    X = rng.standard_normal((3, 3))
-    with pytest.raises(ValueError):
-        masked_relative_error(X, X, Mask.full(3, 3), over="missing_only")

@@ -8,8 +8,9 @@ from kfmc import (KernelSpec, Mask, MaskedMatrix, NumericalError,
                   mean_pairwise_distance)
 from kfmc.kernels import kernel_matrix, power_weights
 from kfmc.offline import (completion_step, dictionary_step, fit,
-                          grad_completion_rbf, grad_dictionary_poly_frozen,
-                          grad_dictionary_rbf, objective, solve_codes)
+                          grad_dictionary_poly_frozen, grad_dictionary_rbf,
+                          objective, solve_codes)
+from kfmc.online import _sample_step, sample_objective
 
 
 def poly_feature_map(x, degree, offset):
@@ -44,6 +45,17 @@ def fd_grad(f, A, h=1e-6):
     return G
 
 
+def completion_gradient(spec, X, D, Z, tau):
+    """The completion gradient of :func:`objective` recovered from the
+    shipped step: step * tau times the curvature it divides by."""
+    step = completion_step(spec, X, D, Z, tau)
+    if spec.is_poly:
+        w1 = (np.sum(X * X, axis=0) + spec.offset) ** (spec.degree - 1)
+        return step * tau * spec.degree * w1
+    g = np.sum(Z * kernel_matrix(spec, D, X), axis=0)
+    return step * tau * (2.0 / spec.sigma**2) * np.abs(g)
+
+
 # ---------------------------------------------------------------- objective
 
 def test_objective_zero_when_model_matches(rng):
@@ -73,6 +85,22 @@ def test_objective_matches_explicit_feature_map(rng):
                 + 0.5 * alpha * np.linalg.norm(phiD) ** 2
                 + 0.5 * beta * np.linalg.norm(Z) ** 2)
     assert objective(spec, X, D, Z, alpha, beta) == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("spec", [KernelSpec.rbf(1.3), KernelSpec.poly(1, 0.4),
+                                  KernelSpec.poly(2, 0.7),
+                                  KernelSpec.poly(3, 0.5)],
+                         ids=["rbf", "poly1", "poly2", "poly3"])
+def test_objective_is_the_sum_of_sample_objectives(spec, rng):
+    X = rng.standard_normal((4, 6))
+    D = rng.standard_normal((4, 3))
+    Z = rng.standard_normal((3, 6))
+    alpha, beta = 0.3, 0.2
+    reg_d = np.trace(kernel_matrix(spec, D, D))
+    expected = sum(sample_objective(spec, X[:, j], Z[:, j], D, 0.0, beta)
+                   for j in range(6)) + 0.5 * alpha * reg_d
+    assert objective(spec, X, D, Z, alpha, beta) == pytest.approx(expected,
+                                                                  rel=1e-12)
 
 
 def test_objective_rbf_alpha_term_is_constant(rng):
@@ -140,7 +168,18 @@ def test_rbf_completion_gradient_matches_fd(rng):
     X = rng.standard_normal((5, 4))
     D = rng.standard_normal((5, 3))
     Z = rng.standard_normal((3, 4))
-    g = grad_completion_rbf(spec, X, D, Z)
+    g = completion_gradient(spec, X, D, Z, 2.0)
+    g_fd = fd_grad(lambda XX: objective(spec, XX, D, Z, 0.3, 0.1), X)
+    assert np.linalg.norm(g - g_fd) <= 1e-5 * np.linalg.norm(g_fd)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_poly_completion_gradient_matches_fd(degree, rng):
+    spec = KernelSpec.poly(degree, 0.6)
+    X = rng.standard_normal((5, 4))
+    D = rng.standard_normal((5, 3))
+    Z = rng.standard_normal((3, 4))
+    g = completion_gradient(spec, X, D, Z, 2.0)
     g_fd = fd_grad(lambda XX: objective(spec, XX, D, Z, 0.3, 0.1), X)
     assert np.linalg.norm(g - g_fd) <= 1e-5 * np.linalg.norm(g_fd)
 
@@ -215,20 +254,25 @@ def test_completion_step_stationary(rng):
     assert np.allclose(step, g / (2.0 * w), atol=1e-12)
 
 
-def test_completion_step_rbf_diagonal_scaling(rng):
-    # for RBF the self-similarity terms cancel: the diagonal scaling is the
-    # column sums of -Z o K_XD' (scaled), and the step is grad / scale / tau
+def test_completion_step_rbf_diagonal_scaling():
+    # the RBF step divides by the magnitude of its curvature, so on a column
+    # with sum(z * k(D, x)) < 0 the batch and the stream step still point
+    # along the gradient (the signed curvature would reverse them)
     spec = KernelSpec.rbf(1.2)
-    X = rng.standard_normal((4, 6))
-    D = rng.standard_normal((4, 3))
-    Z = rng.standard_normal((3, 6)) + 0.5
-    K_XD = kernel_matrix(spec, X, D)
-    g3 = (-(Z * K_XD.T)).sum(axis=0)
-    scale = -(2.0 / spec.sigma**2) * g3
-    g = grad_completion_rbf(spec, X, D, Z)
-    expected = g / np.where(scale >= 0, np.maximum(scale, 1e-12),
-                            np.minimum(scale, -1e-12)) / 2.0
-    assert np.allclose(completion_step(spec, X, D, Z, 2.0), expected)
+    D = np.array([[0.0, 1.0, -0.5], [0.5, 0.0, 1.0], [1.0, -1.0, 0.0]])
+    x = np.array([0.3, -0.2, 0.4])
+    z = np.array([-1.0, -0.5, -0.8])
+    k = kernel_matrix(spec, D, x[:, None])[:, 0]
+    assert np.sum(z * k) < 0
+    X, Z = x[:, None], z[:, None]
+    g_fd = fd_grad(lambda XX: objective(spec, XX, D, Z, 0.1, 0.1), X)[:, 0]
+    for step in (completion_step(spec, X, D, Z, 2.0)[:, 0],
+                 _sample_step(spec, x, z, D, k, 2.0)):
+        ratio = step / g_fd
+        assert np.all(ratio > 0)
+        assert np.allclose(ratio, ratio[0], rtol=1e-6)
+        assert objective(spec, X - step[:, None], D, Z, 0.1, 0.1) < \
+            objective(spec, X, D, Z, 0.1, 0.1)
 
 
 def test_completion_step_frozen_decrease_poly():

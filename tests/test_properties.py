@@ -1,0 +1,66 @@
+"""Property: the shipped solvers never change an observed entry.
+
+``fit``, ``run_stream`` and ``complete_new`` run on small drawn problems
+(shapes, masks and values), with both kernels and both step modes (momentum
+and guarded); every observed entry must come back with the same bits.
+"""
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from kfmc import (KernelSpec, Mask, OfflineHyperparams, OnlineHyperparams,
+                  complete_new, fit, impute_init, run_stream)
+
+SPECS = [KernelSpec.rbf(2.0), KernelSpec.poly(2, 1.0)]
+SETTINGS = settings(max_examples=50, deadline=None, derandomize=True,
+                    database=None)
+
+
+@st.composite
+def problems(draw):
+    """A data matrix (m, n), a mask with at least one observed entry, a
+    kernel and a momentum weight (0 for the guarded step)."""
+    m = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 7))
+    values = draw(arrays(np.float64, (m, n),
+                         elements=st.floats(-3.0, 3.0, allow_nan=False)))
+    observed = draw(arrays(np.bool_, (m, n)))
+    observed.flat[draw(st.integers(0, m * n - 1))] = True
+    return (values, observed, draw(st.sampled_from(SPECS)),
+            draw(st.sampled_from([0.0, 0.5])))
+
+
+def _samples(values, observed):
+    return [(np.where(observed[:, j], values[:, j], np.nan),
+             np.flatnonzero(observed[:, j])) for j in range(values.shape[1])]
+
+
+@SETTINGS
+@given(problems())
+def test_fit_keeps_observed_entries(problem):
+    values, observed, spec, eta = problem
+    mm = impute_init(np.where(observed, values, np.nan), Mask(observed))
+    hp = OfflineHyperparams(r=3, beta=0.1, eta=eta, t_max=5, tol=0.0, seed=0)
+    model = fit(mm, spec, hp)
+    assert np.array_equal(model.completed[observed], values[observed])
+
+
+@SETTINGS
+@given(problems())
+def test_run_stream_keeps_observed_entries(problem):
+    values, observed, spec, eta = problem
+    hp = OnlineHyperparams(r=3, beta=0.1, eta=eta, n_iter=5, n_pass=2,
+                           seed=0)
+    work, _ = run_stream(_samples(values, observed), spec, hp)
+    assert np.array_equal(work[observed], values[observed])
+
+
+@SETTINGS
+@given(problems(), st.integers(0, 2**32 - 1))
+def test_complete_new_keeps_observed_entries(problem, seed):
+    values, observed, spec, eta = problem
+    D = np.random.default_rng(seed).standard_normal((values.shape[0], 3))
+    out = complete_new(D, _samples(values, observed), spec, 0.1, n_iter=5,
+                       eta=eta)
+    assert np.array_equal(out[observed], values[observed])
