@@ -150,10 +150,16 @@ def _default_r(spec, m) -> int:
 
 
 def _beta(args, spec, metadata=None) -> float:
-    """--beta, else the checkpoint's beta, else the kernel's default."""
+    """--beta, else the checkpoint's beta, else the kernel's default.  A
+    negative code ridge is refused: K_DD + beta I need not be definite."""
     if args.beta is not None:
-        return args.beta
-    return (metadata or {}).get("beta", 1e-4 if spec.is_rbf else 0.1)
+        beta, source = args.beta, "--beta"
+    else:
+        beta = (metadata or {}).get("beta", 1e-4 if spec.is_rbf else 0.1)
+        source = "the checkpoint's beta (set --beta to override it)"
+    if not beta >= 0:
+        raise ValueError(f"{source} must be >= 0, got {beta}")
+    return beta
 
 
 def _load_model(args, path, m):

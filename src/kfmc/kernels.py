@@ -2,7 +2,8 @@
 
 Two kernels are supported: the polynomial kernel ``(x.T y + offset)**degree``
 and the RBF kernel ``exp(-||x - y||^2 / sigma^2)``.  Columns are samples
-throughout: an (m, n) array holds n points in R^m.
+throughout: an (m, n) array holds n points in R^m, and a stack (nb, m, b)
+holds nb blocks of b points each.
 """
 from __future__ import annotations
 
@@ -72,23 +73,28 @@ def eval_kernel(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def column_sq_norms(A: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norms of the columns of A."""
-    return np.add.reduce(A * A, axis=0)
+    """Squared Euclidean norms of the columns of A, or of each block of a
+    stack (nb, m, b).  Sums run down axis -2, so a block in a stack sums in
+    the order it sums alone and gets the same bits."""
+    return np.add.reduce(A * A, axis=-2)
 
 
 def kernel_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray,
                   sq_A: np.ndarray | None = None) -> np.ndarray:
     """Dense kernel matrix with entry (i, j) = k(A[:, i], B[:, j]).
 
-    ``sq_A`` may hold ``column_sq_norms(A)``, computed once by a caller that
-    evaluates many kernels against the same A; the result has the same bits.
+    ``B`` may be a stack (nb, m, b) of blocks, giving one matrix per block
+    (nb, r, b) with the bits of each block evaluated alone.  ``sq_A`` may
+    hold ``column_sq_norms(A)``, computed once by a caller that evaluates
+    many kernels against the same A; the result has the same bits.
     """
     A = np.asarray(A, dtype=float)  # no copy for float64 arrays
     B = np.asarray(B, dtype=float)
-    if A.ndim != 2 or B.ndim != 2:
-        raise ValueError("kernel matrix inputs must be 2-d arrays of columns")
-    if A.shape[0] != B.shape[0]:
-        raise ValueError(f"row-count mismatch: {A.shape[0]} vs {B.shape[0]}")
+    if A.ndim != 2 or B.ndim not in (2, 3):
+        raise ValueError("kernel matrix inputs must be 2-d arrays of columns "
+                         "(B may be a 3-d stack of them)")
+    if A.shape[0] != B.shape[-2]:
+        raise ValueError(f"row-count mismatch: {A.shape[0]} vs {B.shape[-2]}")
     G = A.T @ B
     if spec.is_poly:
         return (G + spec.offset) ** spec.degree
@@ -96,7 +102,7 @@ def kernel_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray,
         sq_A = column_sq_norms(A)
     # exp(-max(|a|^2 + |b|^2 - 2 a'b, 0) / sigma^2), evaluated in place in
     # that order; dividing by -sigma^2 rounds exactly like negating first
-    sq = sq_A[:, None] + column_sq_norms(B)
+    sq = sq_A[:, None] + column_sq_norms(B)[..., None, :]
     G *= 2.0
     np.subtract(sq, G, out=sq)
     np.maximum(sq, 0.0, out=sq)

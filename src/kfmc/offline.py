@@ -30,8 +30,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.lapack import dpotri
 
 from .exceptions import NumericalError
-from .kernels import (KernelSpec, column_sq_norms, kernel_diag, kernel_matrix,
-                      power_weights)
+from .kernels import KernelSpec, kernel_diag, kernel_matrix, power_weights
 from .masking import MaskedMatrix
 
 # Floor for the diagonal Newton scalings of the completion update.
@@ -114,20 +113,22 @@ def _dictionary_reg(spec: KernelSpec, D: np.ndarray) -> float:
 
 def _code_terms(Z: np.ndarray, K_DD: np.ndarray, alpha: float, beta: float,
                 reg_d: float):
-    """The per-sample objective terms that depend only on the codes (r, b)
-    and D: 0.5 z'K_DD z, 0.5 alpha reg_d and 0.5 beta ||z||^2, per column."""
-    return (0.5 * np.add.reduce(Z * (K_DD @ Z), axis=0), 0.5 * alpha * reg_d,
-            0.5 * beta * np.add.reduce(Z * Z, axis=0))
+    """The per-sample objective terms that depend only on the codes (r, b),
+    or a stack of them (nb, r, b), and D: 0.5 z'K_DD z, 0.5 alpha reg_d and
+    0.5 beta ||z||^2, per column."""
+    return (0.5 * np.add.reduce(Z * (K_DD @ Z), axis=-2), 0.5 * alpha * reg_d,
+            0.5 * beta * np.add.reduce(Z * Z, axis=-2))
 
 
 def _column_objective(spec: KernelSpec, X: np.ndarray, Z: np.ndarray,
                       K: np.ndarray, terms) -> np.ndarray:
     """Per-column objective of the columns X (m, b) with codes Z (r, b),
-    K = k(D, X) (r, b) and the code-only ``terms`` of :func:`_code_terms`."""
+    K = k(D, X) (r, b) and the code-only ``terms`` of :func:`_code_terms`;
+    on a stack of blocks, one value per column of each block (nb, b)."""
     quad, reg, ridge = terms
     # k(x, x) = 1 for RBF
     self_term = 0.5 * kernel_diag(spec, X) if spec.is_poly else 0.5
-    return self_term - np.add.reduce(K * Z, axis=0) + quad + reg + ridge
+    return self_term - np.add.reduce(K * Z, axis=-2) + quad + reg + ridge
 
 
 def objective(spec: KernelSpec, X: np.ndarray, D: np.ndarray, Z: np.ndarray,
@@ -256,9 +257,13 @@ def dictionary_step(spec: KernelSpec, X: np.ndarray, D: np.ndarray,
 def _sample_step(spec: KernelSpec, x: np.ndarray, z: np.ndarray,
                  D: np.ndarray, k_xD: np.ndarray, tau: float) -> np.ndarray:
     """Relaxed Newton increment (x moves by -step) on one column (m,), or
-    column-wise on a block (m, b) with codes and k(D, x) of shape (r, b)."""
+    column-wise on a block (m, b) or a stack of blocks (nb, m, b) with codes
+    and k(D, x) of shape (r, b) or (nb, r, b)."""
+    # column sums kept as rows, which broadcast against every shape of x
+    axis = -min(x.ndim, 2)
     if spec.is_poly:
-        w1 = (column_sq_norms(x) + spec.offset) ** (spec.degree - 1)
+        w1 = (np.add.reduce(x * x, axis=axis, keepdims=True)
+              + spec.offset) ** (spec.degree - 1)
         w2 = (D.T @ x + spec.offset) ** (spec.degree - 1)
         grad = w1 * x - D @ (w2 * z)
         return grad / (tau * np.maximum(w1, EPS_DIAG))
@@ -266,7 +271,7 @@ def _sample_step(spec: KernelSpec, x: np.ndarray, z: np.ndarray,
     # curvature magnitude of the frozen-kernel model; using the magnitude
     # keeps the step pointed at the stationary point D P / g.
     P = z * k_xD
-    g = np.add.reduce(P, axis=0)
+    g = np.add.reduce(P, axis=axis, keepdims=True)
     step = g * x
     step -= D @ P
     step /= tau * np.maximum(np.abs(g), EPS_DIAG)

@@ -8,11 +8,13 @@ solver's (:mod:`kfmc.offline`), so all three solvers share one algebra.
 Model state is O(m*r + r^2); nothing sized by the stream length is stored.
 
 One inner loop, :func:`_complete_block`, serves the streaming and the
-out-of-sample solvers.  It works on an (m, b) block of columns: the stream
-calls it with b = 1, :func:`kfmc.ose.complete_new` with zero-padded blocks
-of a fixed width.  Each step is a column-wise array operation or a product
-of fixed shape, and a finished column is frozen, so with a fixed b a
-column's bits depend on neither its position nor its neighbours.  Each
+out-of-sample solvers.  It works on an (m, b) block of columns or on a
+stack (nb, m, b) of such blocks: the stream calls it with one block of
+b = 1, :func:`kfmc.ose.complete_new` with a stack of zero-padded blocks of
+a fixed width.  Each step is a column-wise array operation or a product
+that runs once per block at the block's fixed shape, and a finished column
+is frozen, so with a fixed b a column's bits depend on neither its
+position, its block nor its neighbours.  Each
 kernel is evaluated once per state and handed to every consumer: K_DD once
 per dictionary, next to the solve operator, and K(D, X) once per block
 state.  A guarded iteration (eta = 0) therefore costs one kernel, of the
@@ -21,6 +23,7 @@ of :func:`_code_terms`; a retried step adds one kernel and one objective.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,22 +99,24 @@ def sample_objective(spec: KernelSpec, x: np.ndarray, z: np.ndarray,
     """Per-sample objective 0.5||phi(x) - phi(D) z||^2 + regularizers.
 
     ``x`` is one column (m,) with its code ``z`` (r,), giving a float, or a
-    block (m, b) with codes (r, b), giving one value per column.  ``k_xD``
-    holds k(D, x), shaped like ``z``.  ``terms`` holds the code-only terms
-    of :func:`_code_terms` for ``z``, shared by every x evaluated against
-    the same codes; the result has the same bits as without it.
+    block (m, b) with codes (r, b), giving one value per column, or a stack
+    of blocks (nb, m, b) with codes (nb, r, b), giving (nb, b) values.
+    ``k_xD`` holds k(D, x), shaped like ``z``.  ``terms`` holds the
+    code-only terms of :func:`_code_terms` for ``z``, shared by every x
+    evaluated against the same codes; the result has the same bits as
+    without it.
     """
-    X = x if x.ndim == 2 else x[:, None]
-    Z = z if z.ndim == 2 else z[:, None]
+    X = x if x.ndim > 1 else x[:, None]
+    Z = z if z.ndim > 1 else z[:, None]
     if k_xD is None:
         k_xD = kernel_matrix(spec, D, X)
-    K = k_xD if k_xD.ndim == 2 else k_xD[:, None]
+    K = k_xD if k_xD.ndim > 1 else k_xD[:, None]
     if terms is None:
         if K_DD is None:
             K_DD = kernel_matrix(spec, D, D)
         terms = _code_terms(Z, K_DD, alpha, beta, _dictionary_reg(spec, D))
     obj = _column_objective(spec, X, Z, K, terms)
-    return obj if x.ndim == 2 else float(obj[0])
+    return obj if x.ndim > 1 else float(obj[0])
 
 
 def _code_system(spec: KernelSpec, D: np.ndarray, beta: float):
@@ -128,16 +133,20 @@ def _code_system(spec: KernelSpec, D: np.ndarray, beta: float):
 def _complete_block(spec: KernelSpec, D: np.ndarray, system, X: np.ndarray,
                     missing: np.ndarray, *, tau: float, eta: float,
                     n_iter: int, tol: float, alpha: float, beta: float):
-    """Inner loop on an (m, b) block of columns: alternate exact code solves
-    with Newton steps on the entries where ``missing`` is True.
+    """Inner loop on an (m, b) block of columns, or on a stack (nb, m, b) of
+    blocks: alternate exact code solves with Newton steps on the entries
+    where ``missing`` is True.
 
     ``system`` comes from :func:`_code_system`; ``X`` is not modified.  A
     column with nothing missing never moves.  A column stops when its
     relative change drops below ``tol`` or its guarded step is rejected, and
-    from then on keeps its values and kernel.  Returns the block, its codes
-    (r, b), k(D, x) of each column (r, b) and one :class:`SampleInfo` per
-    column.  Raises :class:`NumericalError` naming the first non-finite
-    column of the block in ``sample_index``; a non-finite entry stays
+    from then on keeps its values and kernel.  Every product runs once per
+    block at shape (.., b) and every reduction runs down the columns, so a
+    block in a stack gets the bits it gets alone.  Returns the block(s), the
+    codes and k(D, x) of each column, shaped (r, b) or (nb, r, b), and one
+    :class:`SampleInfo` per column, block by block.  Raises
+    :class:`NumericalError` naming the first non-finite column in
+    ``sample_index``, counted in that order; a non-finite entry stays
     non-finite, so checking once at the end finds every column that failed
     on the way.
     """
@@ -146,8 +155,8 @@ def _complete_block(spec: KernelSpec, D: np.ndarray, system, X: np.ndarray,
     reg_d = _dictionary_reg(spec, D)
     tol2 = tol * tol
     momentum = np.zeros_like(X)
-    done = ~missing.any(axis=0)
-    iterations = np.zeros(X.shape[1], dtype=int)
+    done = ~missing.any(axis=-2)
+    iterations = np.zeros(done.shape, dtype=int)
     K = kernel_matrix(spec, D, X, sq_D)
     for _ in range(n_iter):
         # count_nonzero costs a fraction of .all() / .any() on short arrays
@@ -159,7 +168,7 @@ def _complete_block(spec: KernelSpec, D: np.ndarray, system, X: np.ndarray,
         step = _sample_step(spec, X, Z, D, K, tau)
         momentum *= eta
         momentum += step
-        move = missing & active
+        move = missing & active[..., None, :]
         X_try = np.where(move, X - momentum, X)
         if guarded:
             # guarded Newton: a step that raises the per-sample objective is
@@ -173,12 +182,14 @@ def _complete_block(spec: KernelSpec, D: np.ndarray, system, X: np.ndarray,
                                      K_DD, terms)
             retry = active & (after > before)
             if np.count_nonzero(retry):
-                X_try = np.where(move & retry, X - 0.5 * step, X_try)
+                X_try = np.where(move & retry[..., None, :], X - 0.5 * step,
+                                 X_try)
                 K_try = kernel_matrix(spec, D, X_try, sq_D)
                 after = sample_objective(spec, X_try, Z, D, alpha, beta, K_try,
                                          K_DD, terms)
                 rejected = retry & (after > before)
                 done |= rejected
+                rejected = rejected[..., None, :]
                 X_try = np.where(rejected, X, X_try)
                 K_try = np.where(rejected, K, K_try)
         # relative change of the missing entries, compared squared (dX is
@@ -187,8 +198,8 @@ def _complete_block(spec: KernelSpec, D: np.ndarray, system, X: np.ndarray,
         dX *= dX
         X_miss = np.where(missing, X, 0.0)
         X_miss *= X_miss
-        done |= np.add.reduce(dX, axis=0) < \
-            tol2 * np.maximum(np.add.reduce(X_miss, axis=0), 1e-60)
+        done |= np.add.reduce(dX, axis=-2) < \
+            tol2 * np.maximum(np.add.reduce(X_miss, axis=-2), 1e-60)
         X = X_try
         # a trial point's kernel was evaluated for its objective; a column
         # that did not move gets the same bits from the same values
@@ -196,68 +207,82 @@ def _complete_block(spec: KernelSpec, D: np.ndarray, system, X: np.ndarray,
     Z = solve_op @ K
     objective = sample_objective(spec, X, Z, D, alpha, beta, K, K_DD,
                                  _code_terms(Z, K_DD, alpha, beta, reg_d))
-    failed = ~(np.isfinite(X).all(axis=0) & np.isfinite(Z).all(axis=0)
+    failed = ~(np.isfinite(X).all(axis=-2) & np.isfinite(Z).all(axis=-2)
                & np.isfinite(objective))
     if failed.any():
         raise NumericalError("sample completion produced non-finite values",
                              sample_index=int(np.argmax(failed)))
-    infos = [SampleInfo(bool(c), bool(i >= n_iter), int(i), float(o))
-             for c, i, o in zip(done, iterations, objective)]
+    infos = [SampleInfo(c, bool(i >= n_iter), i, o) for c, i, o in
+             zip(done.ravel().tolist(), iterations.ravel().tolist(),
+                 objective.ravel().tolist())]
     return X, Z, K, infos
 
 
 def _check_indices(observed_idx, m: int) -> np.ndarray:
     observed_idx = np.asarray(observed_idx, dtype=int)
-    if np.any((observed_idx < 0) | (observed_idx >= m)):
+    if observed_idx.size and not (
+            0 <= observed_idx.min() and observed_idx.max() < m):
         raise ValueError(f"observed indices must lie in [0, {m})")
     return observed_idx
 
 
-def _prepare_column(x: np.ndarray, observed_idx: np.ndarray, D: np.ndarray):
-    """Split one sample into a working vector and its missing-entry mask.
+def _prepare_columns(samples, D: np.ndarray, indices_checked: bool = False):
+    """Split (x, observed_idx) samples into working columns X0 (m, n) and
+    their missing-entry mask (m, n).
 
-    Missing entries that are NaN get an initial value (mean of the observed
-    entries, or the dictionary's column mean when nothing is observed);
-    finite values at missing positions are kept as a warm start.
+    Missing entries that are NaN get an initial value (mean of the column's
+    observed entries, or the dictionary's row means when nothing is
+    observed); finite values at missing positions are kept as a warm start.
+    The indices of all samples are checked at once, unless the caller has
+    checked them (``indices_checked``), and the observed values are checked
+    for finiteness at once.
     """
     m = D.shape[0]
-    x = np.asarray(x, dtype=float)
-    if x.shape != (m,):
-        raise ValueError(f"sample length {x.shape} does not match dictionary rows {m}")
-    observed_idx = _check_indices(observed_idx, m)
-    missing = np.ones(m, dtype=bool)
-    missing[observed_idx] = False
-    x0 = x.copy()
-    need_init = missing & ~np.isfinite(x0)
-    if need_init.any():
-        if observed_idx.size:
-            fill = float(np.mean(x0[observed_idx]))
-        else:
-            fill = float('nan')
-        if not np.isfinite(fill):
-            x0[need_init] = D.mean(axis=1)[need_init]
-        else:
-            x0[need_init] = fill
-    if not np.all(np.isfinite(x0[observed_idx] if observed_idx.size else x0)):
-        raise ValueError("observed entries must be finite")
-    return x0, missing
+    xs, idxs = [], []
+    for x, idx in samples:
+        x = np.asarray(x, dtype=float)
+        if x.shape != (m,):
+            raise ValueError(
+                f"sample length {x.shape} does not match dictionary rows {m}")
+        xs.append(x)
+        idxs.append(idx if indices_checked else np.asarray(idx, dtype=int))
+    X0 = np.stack(xs, axis=1) if xs else np.empty((m, 0))
+    if not indices_checked and idxs:
+        _check_indices(np.concatenate(idxs), m)
+    missing = np.ones(X0.shape, dtype=bool)
+    for j, idx in enumerate(idxs):
+        missing[idx, j] = False
+    bad = ~np.isfinite(X0)
+    # count_nonzero costs a fraction of .any() on short arrays
+    if np.count_nonzero(bad):
+        if np.count_nonzero(bad & ~missing):
+            raise ValueError("observed entries must be finite")
+        # every non-finite entry is missing: fill it
+        for j in np.flatnonzero(bad.any(axis=0)):
+            x, need = X0[:, j], bad[:, j]
+            fill = float(np.mean(x[idxs[j]])) if idxs[j].size else math.nan
+            x[need] = fill if math.isfinite(fill) else D.mean(axis=1)[need]
+    return X0, missing
 
 
 def complete_sample(model: OnlineModel, x: np.ndarray, observed_idx: np.ndarray,
                     spec: KernelSpec, hp: OnlineHyperparams,
-                    return_kernels: bool = False):
+                    return_kernels: bool = False,
+                    indices_checked: bool = False):
     """Complete one column against the current dictionary: the inner loop
     on a block of width one.
 
     Returns the completed column, its code vector, a :class:`SampleInfo` and,
     with ``return_kernels``, the (K_XD, K_DD) of the completed column.
+    ``indices_checked`` skips the check of ``observed_idx`` for a caller
+    that has already checked it, as :func:`run_stream` does once per sample.
     """
     D = model.dictionary
-    x0, missing = _prepare_column(x, observed_idx, D)
+    X0, missing = _prepare_columns([(x, observed_idx)], D, indices_checked)
     system = _code_system(spec, D, hp.beta)
     X, Z, K, infos = _complete_block(
-        spec, D, system, x0[:, None], missing[:, None], tau=hp.tau,
-        eta=hp.eta, n_iter=hp.n_iter, tol=hp.tol, alpha=hp.alpha, beta=hp.beta)
+        spec, D, system, X0, missing, tau=hp.tau, eta=hp.eta,
+        n_iter=hp.n_iter, tol=hp.tol, alpha=hp.alpha, beta=hp.beta)
     if return_kernels:
         return X[:, 0], Z[:, 0], infos[0], (K.T, system[0])
     return X[:, 0], Z[:, 0], infos[0]
@@ -321,7 +346,8 @@ def run_stream(samples, spec: KernelSpec, hp: OnlineHyperparams,
             _, obs_idx = samples[j]
             try:
                 x_hat, z, info, kernels = complete_sample(
-                    model, work[:, j], obs_idx, spec, hp, return_kernels=True)
+                    model, work[:, j], obs_idx, spec, hp, return_kernels=True,
+                    indices_checked=True)
                 update_dictionary(model, x_hat, z, spec, hp, kernels)
             except NumericalError as exc:
                 exc.sample_index = j

@@ -1,10 +1,13 @@
 """Out-of-sample extension: complete new columns against a frozen dictionary.
 
-New columns run the streaming solver's inner loop in blocks of a fixed width
-:data:`BLOCK`; the last block is padded with zero columns, which have
-nothing to move and are frozen from the start.  Every product in the loop
-therefore has the same shape, so BLAS computes each column of it by the
-same kernel and summation order whatever the column's position, its
+New columns are cut into blocks of a fixed width :data:`BLOCK`; the last
+block is padded with zero columns, which have nothing to move and are
+frozen from the start.  The blocks are stacked, (nb, m, BLOCK), and one run
+of the streaming solver's inner loop completes the whole stack, so each
+iteration's Python cost is paid once per stack, not once per block.  Every
+product in the loop is still one product per block at the block's fixed
+shape, and every sum runs down the columns, so each column is computed by
+the same kernel and summation order whatever its position, its block, its
 neighbours or the number of columns in the call: a column's output is
 bitwise the same alone, in bulk, or in any order.  Products of varying
 width do not guarantee that.
@@ -17,11 +20,16 @@ from .exceptions import NumericalError
 from .kernels import KernelSpec
 from .masking import Mask, impute_init
 from .offline import OfflineHyperparams, _check_settings, fit
-from .online import SampleInfo, _code_system, _complete_block, _prepare_column
+from .online import SampleInfo, _code_system, _complete_block, _prepare_columns
 
 # Columns per block.  Wider blocks make a single-column request, padded to
 # one block, slower.
 BLOCK = 8
+# Most columns per stack (a multiple of BLOCK); a longer call runs one stack
+# after another, so the loop's temporaries (m or r by STACK) stay bounded.
+# At m = 30, r = 60, stacks of 128 columns or fewer pay more Python overhead
+# per column, and stacks of 1024 or more run slower again.
+STACK = 256
 
 
 def train_dictionary(X_train: np.ndarray, spec: KernelSpec,
@@ -45,35 +53,48 @@ def complete_new(D: np.ndarray, samples, spec: KernelSpec, beta: float,
                  return_info: bool = False):
     """Complete a batch of (x, observed_idx) samples without touching D.
 
-    The code system of D is built once for the whole batch; the samples
-    then run the streaming solver's inner loop, minus any dictionary update,
-    in zero-padded blocks of :data:`BLOCK` columns.  Results are bitwise
-    independent of batch composition and order.  A bad tau, eta or n_iter
-    raises ValueError.  A :class:`NumericalError` names a failing sample in
-    ``sample_index``; an indefinite K_DD + beta I raises one up front.
+    The code system of D is built once and the samples are prepared
+    together.  They then run the streaming solver's inner loop, minus any
+    dictionary update, as one stack of zero-padded blocks of :data:`BLOCK`
+    columns (per :data:`STACK` columns).  Each product in the loop is one
+    BLOCK-wide product per block, so results are bitwise independent of
+    batch composition, size and order.  A bad tau, eta or n_iter, index or
+    observed value raises ValueError.  A :class:`NumericalError` names a
+    failing sample in ``sample_index``; an indefinite K_DD + beta I raises
+    one up front.
     """
     D = np.asarray(D, dtype=float)
     _check_settings(tau=tau, eta=eta, n_iter=n_iter)
     system = _code_system(spec, D, beta)
-    columns = [_prepare_column(x, idx, D) for x, idx in samples]
-    m, n = D.shape[0], len(columns)
+    X0, missing = _prepare_columns(samples, D)
+    m, n = X0.shape
     out = np.empty((m, n))
     infos: list[SampleInfo] = []
-    for j0 in range(0, n, BLOCK):
-        block = columns[j0:j0 + BLOCK]
-        X0 = np.zeros((m, BLOCK))
-        missing = np.zeros((m, BLOCK), dtype=bool)
-        for i, (x0, miss) in enumerate(block):
-            X0[:, i], missing[:, i] = x0, miss
+    for j0 in range(0, n, STACK):
+        j1 = min(j0 + STACK, n)
         try:
-            X, _, _, block_infos = _complete_block(
-                spec, D, system, X0, missing, tau=tau, eta=eta, n_iter=n_iter,
+            X, _, _, stack_infos = _complete_block(
+                spec, D, system, _stack(X0[:, j0:j1]),
+                _stack(missing[:, j0:j1]), tau=tau, eta=eta, n_iter=n_iter,
                 tol=tol, alpha=0.0, beta=beta)
         except NumericalError as exc:
             exc.sample_index += j0
             raise
-        out[:, j0:j0 + len(block)] = X[:, :len(block)]
-        infos += block_infos[:len(block)]
+        out[:, j0:j1] = np.hstack(X.reshape(-1, m, BLOCK))[:, :j1 - j0]
+        infos += stack_infos[:j1 - j0]
     if return_info:
         return out, infos
     return out
+
+
+def _stack(A: np.ndarray) -> np.ndarray:
+    """The columns of A (m, c) as a contiguous stack of zero-padded blocks
+    (ceil(c / BLOCK), m, BLOCK); one block stays 2-d (m, BLOCK), which has
+    the same bits and spares a single-column request the stack's overhead."""
+    m, c = A.shape
+    padded = np.zeros((m, -(-c // BLOCK) * BLOCK), dtype=A.dtype)
+    padded[:, :c] = A
+    if c <= BLOCK:
+        return padded
+    blocks = padded.reshape(m, -1, BLOCK).transpose(1, 0, 2)
+    return np.ascontiguousarray(blocks)

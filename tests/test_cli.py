@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from kfmc.checkpoint import load_checkpoint, save_checkpoint
 from kfmc.cli import main
 from kfmc.dataio import read_json, read_mask_csv, read_matrix_csv
 
@@ -336,6 +337,34 @@ def test_frozen_runs_reject_bad_solver_settings_exit_2(
         argv = ("stream", "--passes", 0, "--resume", trained_model,
                 "--data", union_dir / "data.csv", *data)
     assert run(*argv) == 2
+    assert not (tmp_path / "o" / "completed.csv").exists()
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("ose", ("--beta=-1e-6",)), ("ose", ("--beta", -1)),
+    ("stream-passes-0", ("--beta=-1e-6",)),
+    ("stream-passes-1", ("--beta=-1e-6",)),
+    ("complete", ("--beta=-1e-6",)), ("ose", ()), ("stream-passes-0", ())],
+    ids=["ose", "ose-beta-space-1", "stream-passes-0", "stream-passes-1",
+         "complete", "ose-checkpoint-beta", "stream-passes-0-checkpoint-beta"])
+def test_negative_beta_exits_2_naming_beta(union_dir, trained_model, tmp_path,
+                                           capsys, command, flags):
+    ckpt = trained_model
+    if not flags:  # no --beta: the checkpoint's negative beta applies
+        D, spec, _ = load_checkpoint(trained_model)
+        ckpt = tmp_path / "negative-beta.ckpt"
+        save_checkpoint(ckpt, D, spec, metadata={"beta": -1e-6})
+    data = ("--mask", union_dir / "mask.csv", *flags, "--out", tmp_path / "o")
+    if command == "ose":
+        argv = ("ose", "--model", ckpt, "--input", union_dir / "data.csv")
+    elif command == "complete":
+        argv = ("complete", "--data", union_dir / "data.csv")
+    else:
+        resume = ("--resume", ckpt) if command.endswith("0") else ()
+        argv = ("stream", "--data", union_dir / "data.csv", "--passes",
+                command[-1], *resume)
+    assert run(*argv, *data) == 2
+    assert "--beta" in capsys.readouterr().err
     assert not (tmp_path / "o" / "completed.csv").exists()
 
 

@@ -89,7 +89,7 @@ def test_inner_loop_monotone_without_momentum(kind):
         K_DD = kernel_matrix(spec, D, D)
         chol = cho_factor(K_DD + beta * np.eye(ra), lower=True)
         xs = np.where(np.isin(np.arange(m), obs), x, np.nan)
-        x0, miss = online._prepare_column(xs, obs, D)
+        x0, miss = (a[:, 0] for a in online._prepare_columns([(xs, obs)], D))
         cur = x0.copy()
         objs = []
         for _ in range(15):
@@ -122,7 +122,7 @@ def test_complete_sample_does_not_increase_objective(kind):
                                tol=0.0, seed=0)
         xs = np.where(np.isin(np.arange(6), obs), x, np.nan)
         x_hat, z, info = complete_sample(model, xs, obs, spec, hp)
-        x0, _ = online._prepare_column(xs, obs, D)
+        x0 = online._prepare_columns([(xs, obs)], D)[0][:, 0]
         k0 = kernel_matrix(spec, x0[:, None], D)[0]
         K_DD = kernel_matrix(spec, D, D)
         z0 = np.linalg.solve(K_DD + hp.beta * np.eye(4), k0)

@@ -9,7 +9,8 @@ import pytest
 
 from kfmc import KernelSpec, NumericalError, complete_new
 from kfmc.kernels import column_sq_norms, kernel_matrix
-from kfmc.ose import BLOCK
+from kfmc.online import _prepare_columns
+from kfmc.ose import BLOCK, STACK
 
 M, R, BETA = 9, 5, 1e-3
 SPECS = [KernelSpec.rbf(2.0), KernelSpec.poly(3, 0.5)]
@@ -103,3 +104,86 @@ def test_kernel_matrix_with_cached_norms_gives_identical_bits(spec):
     X = rng.standard_normal((M, BLOCK))
     assert np.array_equal(kernel_matrix(spec, D, X),
                           kernel_matrix(spec, D, X, column_sq_norms(D)))
+
+
+# A call runs all of its blocks as one stack, STACK columns at a time, so a
+# column's bits must not depend on its block or its stack either.
+
+@pytest.mark.parametrize("n", [64, STACK + 1])
+@pytest.mark.parametrize("spec", SPECS, ids=["rbf", "poly"])
+@pytest.mark.parametrize("eta", [0.5, 0.0])
+def test_stacked_call_equals_single_columns_bitwise(n, spec, eta):
+    D = _dictionary()
+    samples = _samples(n, seed=n)
+    bulk, infos = _run(D, samples, spec, eta)
+    rev, rev_infos = _run(D, samples[::-1], spec, eta)
+    assert np.array_equal(rev[:, ::-1], bulk)
+    assert rev_infos[::-1] == infos
+    for j, sample in enumerate(samples):
+        solo, solo_infos = _run(D, [sample], spec, eta)
+        assert np.array_equal(solo[:, 0], bulk[:, j])
+        assert solo_infos[0] == infos[j]
+
+
+@pytest.mark.parametrize("bad", [BLOCK + 3, STACK + BLOCK + 3],
+                         ids=["later-block", "later-stack"])
+def test_numerical_error_names_a_column_of_a_later_block_or_stack(bad):
+    spec = KernelSpec.poly(4, 1.0)
+    D = _dictionary()
+    samples = _samples(STACK + 2 * BLOCK, seed=5)
+    x, obs = _column(np.random.default_rng(6), "part")
+    x[obs] = 1e100
+    samples[bad] = (x, obs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError) as err:
+            complete_new(D, samples, spec, BETA, n_iter=12)
+    assert err.value.sample_index == bad
+
+
+def test_prepare_columns_fills_missing_entries_per_column():
+    D = _dictionary()
+    rng = np.random.default_rng(7)
+    part, full, empty = (_column(rng, k) for k in ("part", "full", "empty"))
+    warm_x, warm_obs = _column(rng, "part")
+    free = np.setdiff1d(np.arange(M), warm_obs)
+    warm_x[free[:2]] = [0.25, -4.0]  # finite warm starts at missing positions
+    X0, missing = _prepare_columns([part, full, empty, (warm_x, warm_obs)], D)
+    assert X0.shape == missing.shape == (M, 4)
+    for j, (x, obs) in enumerate([part, full, empty, (warm_x, warm_obs)]):
+        assert np.array_equal(missing[:, j], ~np.isin(np.arange(M), obs))
+        expected = x.copy()
+        nan = np.isnan(x)
+        expected[nan] = np.mean(x[obs]) if obs.size else D.mean(axis=1)[nan]
+        assert np.array_equal(X0[:, j], expected)
+    assert np.array_equal(X0[free[:2], 3], [0.25, -4.0])
+
+
+@pytest.mark.parametrize("fault", ["index-too-large", "index-negative",
+                                   "observed-nan", "observed-inf"])
+def test_prepare_columns_rejects_bad_samples(fault):
+    D = _dictionary()
+    samples = _samples(5, seed=8)
+    x, obs = samples[2]
+    x = x.copy()
+    if fault == "index-too-large":
+        obs = np.append(obs, M)
+    elif fault == "index-negative":
+        obs = np.append(obs, -1)
+    else:
+        x[obs[0]] = np.nan if fault == "observed-nan" else np.inf
+    samples[2] = (x, obs)
+    with pytest.raises(ValueError):
+        _prepare_columns(samples, D)
+    with pytest.raises(ValueError):
+        complete_new(D, samples, SPECS[0], BETA)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=["rbf", "poly"])
+def test_kernel_matrix_of_a_stack_equals_each_block_alone(spec):
+    rng = np.random.default_rng(9)
+    D = rng.standard_normal((M, R))
+    stack = rng.standard_normal((3, M, BLOCK))
+    K = kernel_matrix(spec, D, stack, column_sq_norms(D))
+    assert K.shape == (3, R, BLOCK)
+    for block, K_block in zip(stack, K):
+        assert np.array_equal(K_block, kernel_matrix(spec, D, block))
