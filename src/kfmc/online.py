@@ -218,6 +218,11 @@ def _complete_block(spec: KernelSpec, D: np.ndarray, system, X: np.ndarray,
     return X, Z, K, infos
 
 
+class _CheckedIndices(np.ndarray):
+    """Observed indices that :func:`run_stream` has checked once up front;
+    :func:`_prepare_columns` does not check them again on every visit."""
+
+
 def _check_indices(observed_idx, m: int) -> np.ndarray:
     observed_idx = np.asarray(observed_idx, dtype=int)
     if observed_idx.size and not (
@@ -226,29 +231,32 @@ def _check_indices(observed_idx, m: int) -> np.ndarray:
     return observed_idx
 
 
-def _prepare_columns(samples, D: np.ndarray, indices_checked: bool = False):
+def _prepare_columns(samples, D: np.ndarray):
     """Split (x, observed_idx) samples into working columns X0 (m, n) and
     their missing-entry mask (m, n).
 
     Missing entries that are NaN get an initial value (mean of the column's
     observed entries, or the dictionary's row means when nothing is
     observed); finite values at missing positions are kept as a warm start.
-    The indices of all samples are checked at once, unless the caller has
-    checked them (``indices_checked``), and the observed values are checked
+    The indices of all samples are checked at once, except those already
+    checked (:class:`_CheckedIndices`), and the observed values are checked
     for finiteness at once.
     """
     m = D.shape[0]
-    xs, idxs = [], []
+    xs, idxs, unchecked = [], [], []
     for x, idx in samples:
         x = np.asarray(x, dtype=float)
         if x.shape != (m,):
             raise ValueError(
                 f"sample length {x.shape} does not match dictionary rows {m}")
         xs.append(x)
-        idxs.append(idx if indices_checked else np.asarray(idx, dtype=int))
+        if not isinstance(idx, _CheckedIndices):
+            idx = np.asarray(idx, dtype=int)
+            unchecked.append(idx)
+        idxs.append(idx)
     X0 = np.stack(xs, axis=1) if xs else np.empty((m, 0))
-    if not indices_checked and idxs:
-        _check_indices(np.concatenate(idxs), m)
+    if unchecked:
+        _check_indices(np.concatenate(unchecked), m)
     missing = np.ones(X0.shape, dtype=bool)
     for j, idx in enumerate(idxs):
         missing[idx, j] = False
@@ -267,18 +275,15 @@ def _prepare_columns(samples, D: np.ndarray, indices_checked: bool = False):
 
 def complete_sample(model: OnlineModel, x: np.ndarray, observed_idx: np.ndarray,
                     spec: KernelSpec, hp: OnlineHyperparams,
-                    return_kernels: bool = False,
-                    indices_checked: bool = False):
+                    return_kernels: bool = False):
     """Complete one column against the current dictionary: the inner loop
     on a block of width one.
 
     Returns the completed column, its code vector, a :class:`SampleInfo` and,
     with ``return_kernels``, the (K_XD, K_DD) of the completed column.
-    ``indices_checked`` skips the check of ``observed_idx`` for a caller
-    that has already checked it, as :func:`run_stream` does once per sample.
     """
     D = model.dictionary
-    X0, missing = _prepare_columns([(x, observed_idx)], D, indices_checked)
+    X0, missing = _prepare_columns([(x, observed_idx)], D)
     system = _code_system(spec, D, hp.beta)
     X, Z, K, infos = _complete_block(
         spec, D, system, X0, missing, tau=hp.tau, eta=hp.eta,
@@ -329,7 +334,8 @@ def run_stream(samples, spec: KernelSpec, hp: OnlineHyperparams,
     m = samples[0][0].shape[0]
     if any(x.shape != (m,) for x, _ in samples):
         raise ValueError("all samples must have the same length")
-    samples = [(x, _check_indices(idx, m)) for x, idx in samples]
+    samples = [(x, _check_indices(idx, m).view(_CheckedIndices))
+               for x, idx in samples]
     if model is None:
         model = OnlineModel.init(m, hp.r, hp.seed)
     n = len(samples)
@@ -346,8 +352,7 @@ def run_stream(samples, spec: KernelSpec, hp: OnlineHyperparams,
             _, obs_idx = samples[j]
             try:
                 x_hat, z, info, kernels = complete_sample(
-                    model, work[:, j], obs_idx, spec, hp, return_kernels=True,
-                    indices_checked=True)
+                    model, work[:, j], obs_idx, spec, hp, return_kernels=True)
                 update_dictionary(model, x_hat, z, spec, hp, kernels)
             except NumericalError as exc:
                 exc.sample_index = j

@@ -89,12 +89,9 @@ def complete_new(D: np.ndarray, samples, spec: KernelSpec, beta: float,
 
 def _stack(A: np.ndarray) -> np.ndarray:
     """The columns of A (m, c) as a contiguous stack of zero-padded blocks
-    (ceil(c / BLOCK), m, BLOCK); one block stays 2-d (m, BLOCK), which has
-    the same bits and spares a single-column request the stack's overhead."""
+    (ceil(c / BLOCK), m, BLOCK)."""
     m, c = A.shape
     padded = np.zeros((m, -(-c // BLOCK) * BLOCK), dtype=A.dtype)
     padded[:, :c] = A
-    if c <= BLOCK:
-        return padded
     blocks = padded.reshape(m, -1, BLOCK).transpose(1, 0, 2)
     return np.ascontiguousarray(blocks)

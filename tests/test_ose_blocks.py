@@ -9,7 +9,8 @@ import pytest
 
 from kfmc import KernelSpec, NumericalError, complete_new
 from kfmc.kernels import column_sq_norms, kernel_matrix
-from kfmc.online import _prepare_columns
+from kfmc.online import (OnlineHyperparams, OnlineModel, _prepare_columns,
+                         complete_sample)
 from kfmc.ose import BLOCK, STACK
 
 M, R, BETA = 9, 5, 1e-3
@@ -187,3 +188,14 @@ def test_kernel_matrix_of_a_stack_equals_each_block_alone(spec):
     assert K.shape == (3, R, BLOCK)
     for block, K_block in zip(stack, K):
         assert np.array_equal(K_block, kernel_matrix(spec, D, block))
+
+
+@pytest.mark.parametrize("bad", [-1, M])
+def test_complete_sample_checks_indices_of_a_public_caller(bad):
+    # run_stream checks each sample's indices once and marks them checked;
+    # a caller of complete_sample always gets the check, list indices too
+    x, obs = _samples(1, seed=10)[0]
+    hp = OnlineHyperparams(r=R, beta=BETA)
+    with pytest.raises(ValueError, match="observed indices"):
+        complete_sample(OnlineModel(_dictionary()), x, list(obs) + [bad],
+                        SPECS[0], hp)
