@@ -103,17 +103,18 @@ def cmd_gen(args) -> int:
 def _read_problem(args, path):
     """Read (data, mask, truth) for any command and check them before a solve.
 
-    Without --mask the finite entries are observed; a fully finite matrix
-    is its own truth unless --truth is given."""
+    Without --mask the entries that are not NaN are observed, so an inf is
+    an error either way; a fully finite matrix is its own truth unless
+    --truth is given."""
     data = read_matrix_csv(path)
     if args.mask:
         mask = read_mask_csv(args.mask)
         if mask.shape != data.shape:
             raise ValueError("mask shape does not match data shape")
-        if not np.all(np.isfinite(data[mask.observed])):
-            raise ValueError("data has non-finite values at observed positions")
     else:
-        mask = Mask.from_dense(data)
+        mask = Mask(~np.isnan(data))
+    if not np.all(np.isfinite(data[mask.observed])):
+        raise ValueError("data has non-finite values at observed positions")
     truth = None
     if args.truth:
         truth = read_matrix_csv(args.truth)

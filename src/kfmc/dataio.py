@@ -25,14 +25,18 @@ def _parse_cell(token: str) -> float:
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    """Read a dense matrix; NaN or empty fields become NaN."""
+    """Read a dense matrix; NaN or empty fields become NaN.  Any other token
+    that is not a float raises ValueError naming the file and its line."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\r\n")
             if not line:
                 continue
-            rows.append([_parse_cell(tok) for tok in line.split(",")])
+            try:
+                rows.append([_parse_cell(tok) for tok in line.split(",")])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no rows")
     width = len(rows[0])

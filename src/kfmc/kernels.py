@@ -127,6 +127,4 @@ def power_weights(spec: KernelSpec, G: np.ndarray) -> np.ndarray:
     if not spec.is_poly:
         raise ValueError("power weights are only defined for the polynomial kernel")
     G = np.asarray(G, dtype=float)
-    if spec.degree == 1:
-        return np.ones_like(G)
     return (G + spec.offset) ** (spec.degree - 1)

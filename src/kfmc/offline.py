@@ -19,7 +19,8 @@ algebra.  Codes come from one operator, S = (K_DD + beta I)^-1, built by
 column-wise :func:`_sample_step`, a column's gradient over the curvature of
 its frozen-weight model.  For poly both carry the factor q = degree, which
 cancels.  RBF divides by the curvature's magnitude, so it descends even
-where sum(z k(D, x)) < 0.
+where sum(z k(D, x)) < 0.  The batch and the stream dictionary updates
+both scale the gradient of :func:`_dictionary_parts` by its curvature.
 """
 from __future__ import annotations
 
@@ -72,13 +73,10 @@ class OfflineHyperparams:
     t_max: int = 500
     tol: float = 1e-6
     seed: int | None = 0
-    dict_init: str = "normal"
 
     def __post_init__(self):
         _check_settings(r=self.r, alpha=self.alpha, beta=self.beta,
                         tau=self.tau, eta=self.eta)
-        if self.dict_init not in ("normal", "data"):
-            raise ValueError("dict_init must be 'normal' or 'data'")
         if self.t_max < 1:
             raise ValueError("t_max must be >= 1")
 
@@ -176,27 +174,24 @@ def solve_codes(spec: KernelSpec, X: np.ndarray, D: np.ndarray,
     return Z
 
 
-def grad_dictionary_poly_frozen(spec: KernelSpec, X: np.ndarray, D: np.ndarray,
-                                Z: np.ndarray, alpha: float, W1: np.ndarray,
-                                W2: np.ndarray) -> np.ndarray:
-    """Frozen-weight dictionary gradient for the polynomial kernel.
+def _dictionary_parts(spec: KernelSpec, X: np.ndarray, D: np.ndarray,
+                      Z: np.ndarray, alpha: float, kernels=None):
+    """Dictionary gradient and curvature (r, r) of the columns X with codes Z.
 
-    This is the gradient of the reweighted surrogate in which the power
-    weights W1, W2 are held fixed; the true gradient is ``degree`` times it.
+    RBF: the exact gradient of :func:`objective`, curvature not yet
+    symmetrized.  Poly: those of the surrogate with the power weights
+    W1 = (X'D + c)^(q-1) and W2 = (D'D + c)^(q-1) held fixed; the true
+    gradient is ``degree`` times this one.
     """
     r = D.shape[1]
-    return -X @ (W1 * Z.T) + D @ ((Z @ Z.T + alpha * np.eye(r)) * W2)
-
-
-def _poly_dictionary_hessian(Z, alpha, W2):
-    H = (Z @ Z.T) * W2
-    H[np.diag_indices_from(H)] += alpha * np.diag(W2)
-    return H
-
-
-def _rbf_dictionary_parts(spec, X, D, Z, alpha, kernels):
-    """RBF dictionary gradient and its curvature (not yet symmetrized)."""
-    r = D.shape[1]
+    if spec.is_poly:
+        W1 = power_weights(spec, X.T @ D)
+        W2 = power_weights(spec, D.T @ D)
+        ZZ = Z @ Z.T
+        g = -X @ (W1 * Z.T) + D @ ((ZZ + alpha * np.eye(r)) * W2)
+        H = ZZ * W2
+        H[np.diag_indices_from(H)] += alpha * np.diag(W2)
+        return g, H
     s2 = spec.sigma**2
     K_XD, K_DD = _state_kernels(spec, X, D, kernels)
     Q1 = -(Z.T * K_XD)
@@ -205,12 +200,6 @@ def _rbf_dictionary_parts(spec, X, D, Z, alpha, kernels):
     g2 = Q2.sum(axis=0)
     g = (2.0 / s2) * (X @ Q1 - D * g1) + (4.0 / s2) * (D @ Q2 - D * g2)
     return g, (2.0 / s2) * (2.0 * Q2 - np.diag(g1) - 2.0 * np.diag(g2))
-
-
-def grad_dictionary_rbf(spec: KernelSpec, X: np.ndarray, D: np.ndarray,
-                        Z: np.ndarray, alpha: float, kernels=None) -> np.ndarray:
-    """Exact dictionary gradient of :func:`objective` for the RBF kernel."""
-    return _rbf_dictionary_parts(spec, X, D, Z, alpha, kernels)[0]
 
 
 def _solve_right(G: np.ndarray, M: np.ndarray, *, spd: bool) -> np.ndarray:
@@ -231,24 +220,16 @@ def _solve_right(G: np.ndarray, M: np.ndarray, *, spd: bool) -> np.ndarray:
 def dictionary_step(spec: KernelSpec, X: np.ndarray, D: np.ndarray,
                     Z: np.ndarray, alpha: float, tau: float,
                     kernels=None) -> np.ndarray:
-    """Relaxed Newton increment for the dictionary (D moves by -step)."""
+    """Relaxed Newton increment for the dictionary (D moves by -step): the
+    gradient of :func:`_dictionary_parts` over its damped curvature."""
     r = D.shape[1]
-    if spec.is_poly:
-        W1 = power_weights(spec, X.T @ D)
-        W2 = power_weights(spec, D.T @ D)
-        g = grad_dictionary_poly_frozen(spec, X, D, Z, alpha, W1, W2)
-        if not np.any(g):
-            return np.zeros_like(D)
-        H = _poly_dictionary_hessian(Z, alpha, W2)
-        H = H + (1e-8 * np.trace(H) / r) * np.eye(r)
-        step = (1.0 / tau) * _solve_right(g, H, spd=True)
-    else:
-        g, B = _rbf_dictionary_parts(spec, X, D, Z, alpha, kernels)
-        if not np.any(g):
-            return np.zeros_like(D)
-        B = 0.5 * (B + B.T)
-        B = B + (1e-8 * abs(np.trace(B)) / r) * np.eye(r)
-        step = (1.0 / tau) * _solve_right(g, B, spd=False)
+    g, H = _dictionary_parts(spec, X, D, Z, alpha, kernels)
+    if not np.any(g):
+        return np.zeros_like(D)
+    if spec.is_rbf:
+        H = 0.5 * (H + H.T)
+    H = H + (1e-8 * abs(np.trace(H)) / r) * np.eye(r)
+    step = (1.0 / tau) * _solve_right(g, H, spd=spec.is_poly)
     if not np.all(np.isfinite(step)):
         raise NumericalError("dictionary step produced non-finite values")
     return step
@@ -303,22 +284,15 @@ def fit(mm: MaskedMatrix, spec: KernelSpec, hp: OfflineHyperparams,
     Newton steps to the dictionary and (unless ``update_completion`` is
     False, for fully observed training data) to the completion, restoring
     the observed entries afterwards.  In momentum-free runs (eta = 0) a
-    step that increases the objective is retried once with the relaxation
-    doubled, then accepted; with momentum the transient increases are part
-    of how the iteration escapes poor joint configurations, so steps are
-    applied as computed.
+    step that increases the objective is retried once at half its length
+    (the relaxation doubled), then accepted; with momentum the transient
+    increases are part of how the iteration escapes poor joint
+    configurations, so steps are applied as computed.
     """
     if mm.mask.n_observed < 1:
         raise ValueError("at least one observed entry is required")
     m, n = mm.shape
-    rng = np.random.default_rng(hp.seed)
-    if hp.dict_init == "data":
-        # seed the atoms with columns of the imputed data (any r columns of
-        # the data span the same feature subspace, generically)
-        idx = rng.choice(n, size=hp.r, replace=hp.r > n)
-        D = mm.completion[:, idx] + 1e-3 * rng.standard_normal((m, hp.r))
-    else:
-        D = rng.standard_normal((m, hp.r))
+    D = np.random.default_rng(hp.seed).standard_normal((m, hp.r))
     mom_D = np.zeros_like(D)
     mom_X = np.zeros((m, n))
     X = mm.completion.copy()
@@ -342,9 +316,8 @@ def fit(mm: MaskedMatrix, spec: KernelSpec, hp: OfflineHyperparams,
 
             if guarded:
                 current = objective(spec, X, D, Z, hp.alpha, hp.beta, kernels)
-                for relax in (1.0, 2.0):
-                    step = dictionary_step(spec, X, D, Z, hp.alpha,
-                                           relax * hp.tau, kernels)
+                first = dictionary_step(spec, X, D, Z, hp.alpha, hp.tau, kernels)
+                for step in (first, 0.5 * first):
                     D_try = D - step
                     trial = _state_kernels(spec, X, D_try)
                     after = objective(spec, X, D_try, Z, hp.alpha, hp.beta, trial)
@@ -364,9 +337,8 @@ def fit(mm: MaskedMatrix, spec: KernelSpec, hp: OfflineHyperparams,
 
             if update_completion:
                 if guarded:
-                    for relax in (1.0, 2.0):
-                        step = completion_step(spec, X, D, Z, relax * hp.tau,
-                                               kernels)
+                    first = completion_step(spec, X, D, Z, hp.tau, kernels)
+                    for step in (first, 0.5 * first):
                         X_try = X - step
                         X_try[obs] = observed_values
                         trial = (kernel_matrix(spec, X_try, D), kernels[1])

@@ -29,11 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericalError
-from .kernels import KernelSpec, column_sq_norms, kernel_matrix, power_weights
+from .kernels import KernelSpec, column_sq_norms, kernel_matrix
 from .offline import (_check_settings, _code_terms, _column_objective,
-                      _dictionary_reg, _poly_dictionary_hessian,
-                      _rbf_dictionary_parts, _sample_step, _solve_operator,
-                      grad_dictionary_poly_frozen)
+                      _dictionary_parts, _dictionary_reg, _sample_step,
+                      _solve_operator)
 
 # Floor for the spectral-norm scaling of the dictionary update.
 EPS_NORM = 1e-12
@@ -218,11 +217,6 @@ def _complete_block(spec: KernelSpec, D: np.ndarray, system, X: np.ndarray,
     return X, Z, K, infos
 
 
-class _CheckedIndices(np.ndarray):
-    """Observed indices that :func:`run_stream` has checked once up front;
-    :func:`_prepare_columns` does not check them again on every visit."""
-
-
 def _check_indices(observed_idx, m: int) -> np.ndarray:
     observed_idx = np.asarray(observed_idx, dtype=int)
     if observed_idx.size and not (
@@ -238,25 +232,21 @@ def _prepare_columns(samples, D: np.ndarray):
     Missing entries that are NaN get an initial value (mean of the column's
     observed entries, or the dictionary's row means when nothing is
     observed); finite values at missing positions are kept as a warm start.
-    The indices of all samples are checked at once, except those already
-    checked (:class:`_CheckedIndices`), and the observed values are checked
-    for finiteness at once.
+    The indices of all samples are checked at once, and so is the
+    finiteness of the observed values.
     """
     m = D.shape[0]
-    xs, idxs, unchecked = [], [], []
+    xs, idxs = [], []
     for x, idx in samples:
         x = np.asarray(x, dtype=float)
         if x.shape != (m,):
             raise ValueError(
                 f"sample length {x.shape} does not match dictionary rows {m}")
         xs.append(x)
-        if not isinstance(idx, _CheckedIndices):
-            idx = np.asarray(idx, dtype=int)
-            unchecked.append(idx)
-        idxs.append(idx)
+        idxs.append(np.asarray(idx, dtype=int))
     X0 = np.stack(xs, axis=1) if xs else np.empty((m, 0))
-    if unchecked:
-        _check_indices(np.concatenate(unchecked), m)
+    if idxs:
+        _check_indices(np.concatenate(idxs), m)
     missing = np.ones(X0.shape, dtype=bool)
     for j, idx in enumerate(idxs):
         missing[idx, j] = False
@@ -300,14 +290,8 @@ def update_dictionary(model: OnlineModel, x_completed: np.ndarray,
     batch gradient and curvature of one column, whose (K_XD, K_DD) are
     ``kernels`` when :func:`complete_sample` returned them."""
     D = model.dictionary
-    X, Z = x_completed[:, None], z[:, None]
-    if spec.is_poly:
-        W1 = (x_completed @ D + spec.offset)[None, :] ** (spec.degree - 1)
-        W2 = power_weights(spec, D.T @ D)
-        grad = grad_dictionary_poly_frozen(spec, X, D, Z, hp.alpha, W1, W2)
-        curvature = _poly_dictionary_hessian(Z, hp.alpha, W2)
-    else:
-        grad, curvature = _rbf_dictionary_parts(spec, X, D, Z, hp.alpha, kernels)
+    grad, curvature = _dictionary_parts(spec, x_completed[:, None], D,
+                                        z[:, None], hp.alpha, kernels)
     step = grad / (hp.tau * max(np.linalg.norm(curvature, 2), EPS_NORM))
     model.dict_momentum = hp.eta * model.dict_momentum + step
     model.dictionary = D - model.dict_momentum
@@ -334,8 +318,7 @@ def run_stream(samples, spec: KernelSpec, hp: OnlineHyperparams,
     m = samples[0][0].shape[0]
     if any(x.shape != (m,) for x, _ in samples):
         raise ValueError("all samples must have the same length")
-    samples = [(x, _check_indices(idx, m).view(_CheckedIndices))
-               for x, idx in samples]
+    samples = [(x, _check_indices(idx, m)) for x, idx in samples]
     if model is None:
         model = OnlineModel.init(m, hp.r, hp.seed)
     n = len(samples)

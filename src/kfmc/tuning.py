@@ -76,13 +76,12 @@ class GridEntry:
 
 def best_offline(mm: MaskedMatrix, X_true: np.ndarray,
                  candidates: list[tuple[KernelSpec, dict]],
-                 eta: float = 0.5, t_max: int = 500, tol: float = 1e-6,
                  seed: int | None = 0) -> tuple[GridEntry, list[GridEntry]]:
-    """Fit every candidate and return the lowest relative-error entry."""
+    """Fit every candidate at the default solver settings and return the
+    lowest relative-error entry."""
     entries = []
     for spec, overrides in candidates:
-        hp = OfflineHyperparams(eta=eta, t_max=t_max, tol=tol, seed=seed,
-                                **overrides)
+        hp = OfflineHyperparams(seed=seed, **overrides)
         model = fit(mm, spec, hp)
         entries.append(GridEntry(spec, hp, model,
                                  relative_error(model.completed, X_true)))

@@ -14,9 +14,8 @@ from kfmc import (KernelSpec, OfflineHyperparams, OnlineHyperparams,
 from kfmc.cli import main as cli_main
 from kfmc.dataio import read_json
 from kfmc.kernels import kernel_matrix, power_weights
-from kfmc.offline import (completion_step, dictionary_step, fit,
-                          grad_dictionary_poly_frozen, grad_dictionary_rbf,
-                          objective, solve_codes)
+from kfmc.offline import (_dictionary_parts, completion_step, dictionary_step,
+                          fit, objective, solve_codes)
 from kfmc.online import OnlineModel, complete_sample, update_dictionary
 
 
@@ -147,7 +146,7 @@ def test_criterion_5_optimization_invariants(rng):
             Z = r.standard_normal((3, 5))
             spec = KernelSpec.rbf(1.0 + r.uniform())
             alpha, beta = 0.3, 0.1
-            g = grad_dictionary_rbf(spec, X, D, Z, alpha)
+            g = _dictionary_parts(spec, X, D, Z, alpha)[0]
             g_fd = fd(lambda DD: objective(spec, X, DD, Z, alpha, beta), D)
             assert np.linalg.norm(g - g_fd) <= 1e-5 * np.linalg.norm(g_fd)
             poly = KernelSpec.poly(1 + trial % 3, 0.5 + r.uniform())
@@ -192,7 +191,7 @@ def test_criterion_5_optimization_invariants(rng):
             spec = KernelSpec.poly(int(r.integers(2, 4)), 0.3 + r.uniform())
             W1 = power_weights(spec, X.T @ D)
             W2 = power_weights(spec, D.T @ D)
-            g = grad_dictionary_poly_frozen(spec, X, D, Z, alpha, W1, W2)
+            g = _dictionary_parts(spec, X, D, Z, alpha)[0]
             H = (Z @ Z.T) * W2 + alpha * np.diag(np.diag(W2))
             bound = -np.trace(g @ np.linalg.solve(H, g.T)) / (2 * tau)
             step = dictionary_step(spec, X, D, Z, alpha, tau)

@@ -106,6 +106,40 @@ def test_complete_data_only_with_nans(tmp_path, rng):
     assert load_report(out)["relative_error"] is not None
 
 
+@pytest.mark.parametrize("data_edits,mask_edits,message", [
+    ({(4, 11): None}, {}, "data.csv: ragged rows"),
+    ({}, {(2, 7): "2"}, "mask.csv: mask entries must be 0 or 1"),
+    ({(0, 3): "NaN"}, {}, "data has non-finite values at observed positions"),
+    ({(0, 3): "NaN", (1, 5): "inf"}, None,
+     "data has non-finite values at observed positions"),
+    ({(2, 4): "abc"}, None,
+     "data.csv: line 3: could not convert string to float: 'abc'"),
+], ids=["ragged-data", "mask-with-2", "nan-at-observed", "inf-without-mask",
+        "bad-token"])
+def test_bad_input_files_exit_2(tmp_path, capsys, data_edits, mask_edits,
+                                message):
+    # a cell edit of None deletes the cell; mask_edits None runs without --mask
+    rng = np.random.default_rng(0)
+    tables = {"data.csv": [["%.17g" % v for v in row]
+                           for row in rng.standard_normal((6, 12))],
+              "mask.csv": [["1"] * 12 for _ in range(6)]}
+    for name, edits in (("data.csv", data_edits), ("mask.csv", mask_edits)):
+        for (i, j), token in (edits or {}).items():
+            if token is None:
+                del tables[name][i][j]
+            else:
+                tables[name][i][j] = token
+        (tmp_path / name).write_text(
+            "".join(",".join(row) + "\n" for row in tables[name]))
+    mask = [] if mask_edits is None else ["--mask", tmp_path / "mask.csv"]
+    for command in ("complete", "stream"):
+        out = tmp_path / command
+        assert run(command, "--data", tmp_path / "data.csv", *mask,
+                   "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "completed.csv").exists()
+
+
 @pytest.fixture(scope="module")
 def union_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("union")

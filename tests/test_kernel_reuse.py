@@ -95,3 +95,22 @@ def test_precomputed_kernels_give_identical_bits(spec):
     k_xD = kernel_matrix(spec, x[:, None], D)[0]
     assert sample_objective(spec, x, z, D, 0.2, 0.1) == \
         sample_objective(spec, x, z, D, 0.2, 0.1, k_xD, kernels[1])
+
+
+def test_guarded_fit_computes_one_step_per_sweep(monkeypatch):
+    # a retried guarded step is half the first step, not a second solve
+    calls = {"dictionary_step": 0, "completion_step": 0, "objective": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(offline, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(offline, name, counted)
+    hp = OfflineHyperparams(r=8, beta=0.1, eta=0.0, tau=1.0001, t_max=30,
+                            tol=0.0)
+    model = fit(_problem(), KernelSpec.poly(3, 0.5), hp)
+    assert model.iterations == 30
+    # one objective of the sweep's start and one per trial point: any more
+    # are retries
+    assert calls["objective"] > 3 * model.iterations
+    assert calls["dictionary_step"] == model.iterations
+    assert calls["completion_step"] == model.iterations

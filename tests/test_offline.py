@@ -7,9 +7,8 @@ from kfmc import (KernelSpec, Mask, MaskedMatrix, NumericalError,
                   twisted_cubic, random_mask, generate, SyntheticSpec,
                   mean_pairwise_distance)
 from kfmc.kernels import kernel_matrix, power_weights
-from kfmc.offline import (completion_step, dictionary_step, fit,
-                          grad_dictionary_poly_frozen, grad_dictionary_rbf,
-                          objective, solve_codes)
+from kfmc.offline import (_dictionary_parts, completion_step, dictionary_step,
+                          fit, objective, solve_codes)
 from kfmc.online import _sample_step, sample_objective
 
 
@@ -158,7 +157,7 @@ def test_rbf_dictionary_gradient_matches_fd(rng):
     X = rng.standard_normal((4, 5))
     D = rng.standard_normal((4, 3))
     Z = rng.standard_normal((3, 5))
-    g = grad_dictionary_rbf(spec, X, D, Z, 0.3)
+    g = _dictionary_parts(spec, X, D, Z, 0.3)[0]
     g_fd = fd_grad(lambda DD: objective(spec, X, DD, Z, 0.3, 0.1), D)
     assert np.linalg.norm(g - g_fd) <= 1e-5 * np.linalg.norm(g_fd)
 
@@ -192,7 +191,7 @@ def test_poly_frozen_gradient_matches_surrogate_fd(rng):
     alpha = 0.4
     W1 = power_weights(spec, X.T @ D)
     W2 = power_weights(spec, D.T @ D)
-    g = grad_dictionary_poly_frozen(spec, X, D, Z, alpha, W1, W2)
+    g = _dictionary_parts(spec, X, D, Z, alpha)[0]
     g_fd = fd_grad(lambda DD: frozen_surrogate_D(spec, X, DD, Z, alpha, W1, W2), D)
     assert np.linalg.norm(g - g_fd) <= 1e-5 * np.linalg.norm(g_fd)
 
@@ -221,7 +220,7 @@ def test_dictionary_step_sufficient_decrease_poly():
         spec = KernelSpec.poly(int(r.integers(2, 4)), 0.3 + r.uniform())
         W1 = power_weights(spec, X.T @ D)
         W2 = power_weights(spec, D.T @ D)
-        g = grad_dictionary_poly_frozen(spec, X, D, Z, alpha, W1, W2)
+        g = _dictionary_parts(spec, X, D, Z, alpha)[0]
         H = (Z @ Z.T) * W2 + alpha * np.diag(np.diag(W2))
         bound = -np.trace(g @ np.linalg.solve(H, g.T)) / (2 * tau)
         step = dictionary_step(spec, X, D, Z, alpha, tau)
@@ -392,17 +391,6 @@ def test_fit_numerical_error_carries_state(rng):
     assert err.trace is not None
 
 
-def test_fit_data_dictionary_init(rng):
-    # seeding the atoms from data columns is a supported alternative init
-    X_true, mm = _masked_instance(rng)
-    hp = OfflineHyperparams(r=6, alpha=0.1, beta=1e-3, eta=0.5, t_max=40,
-                            tol=1e-8, seed=2, dict_init="data")
-    model = fit(mm, KernelSpec.rbf(2.0), hp)
-    assert np.all(np.isfinite(model.completed))
-    obs = mm.mask.observed
-    assert np.array_equal(model.completed[obs], mm.values[obs])
-
-
 def test_hyperparam_validation():
     with pytest.raises(ValueError):
         OfflineHyperparams(r=0)
@@ -412,5 +400,3 @@ def test_hyperparam_validation():
         OfflineHyperparams(r=2, eta=1.0)
     with pytest.raises(ValueError):
         OfflineHyperparams(r=2, beta=-0.1)
-    with pytest.raises(ValueError):
-        OfflineHyperparams(r=2, dict_init="svd")
