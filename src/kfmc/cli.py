@@ -1,10 +1,10 @@
 """Command-line interface: gen | complete | stream | ose | bounds.
 
 Exit codes: 0 on success, 2 for usage or input errors, 3 for numerical
-failures (complete and stream still write the partial trace.csv).  Every
-command takes a --seed and is reproducible given it.  The KFMC_THREADS
-environment variable caps BLAS parallelism when set before the process
-imports numpy.
+failures or a diverged complete (complete and stream still write the
+partial trace.csv).  Every command takes a --seed and is reproducible given
+it.  The KFMC_THREADS environment variable caps BLAS parallelism when set
+before the process imports numpy.
 """
 from __future__ import annotations
 
@@ -112,7 +112,7 @@ def _read_problem(args, path):
         if mask.shape != data.shape:
             raise ValueError("mask shape does not match data shape")
     else:
-        mask = Mask(~np.isnan(data))
+        mask = Mask.from_dense(data)
     if not np.all(np.isfinite(data[mask.observed])):
         raise ValueError("data has non-finite values at observed positions")
     truth = None
@@ -249,9 +249,11 @@ def cmd_complete(args) -> int:
                                     tol=args.tol, seed=args.seed)
             try:
                 model = fit(mm, spec, hp)
+                if model.stop_reason == "diverged":
+                    raise NumericalError("objective ended above its first value",
+                                         trace=model.objective_trace)
             except NumericalError as exc:
-                _write_trace(out, "iteration",
-                             objective=exc.trace if exc.trace is not None else [])
+                _write_trace(out, "iteration", objective=exc.trace)
                 raise
             extra = {}
         X_hat, trace = model.completed, model.objective_trace
@@ -262,6 +264,7 @@ def cmd_complete(args) -> int:
             "hyperparameters": {k: getattr(hp, k) for k in keys},
             "iterations": model.iterations,
             "converged": model.converged,
+            "stop_reason": model.stop_reason,
             **extra,
         }
     _finish(args, out, start, X_hat, mask, truth, payload)

@@ -10,10 +10,8 @@ class NumericalError(RuntimeError):
     exiting with code 3).
     """
 
-    def __init__(self, message, *, model=None, trace=None, iteration=None,
-                 sample_index=None):
+    def __init__(self, message, *, model=None, trace=None, sample_index=None):
         super().__init__(message)
         self.model = model
         self.trace = trace
-        self.iteration = iteration
         self.sample_index = sample_index

@@ -21,8 +21,8 @@ class Mask:
 
     @classmethod
     def from_dense(cls, M: np.ndarray) -> "Mask":
-        """Observed wherever M is finite (NaN marks missing)."""
-        return cls(np.isfinite(np.asarray(M, dtype=float)))
+        """Observed wherever M is not NaN (an inf stays observed)."""
+        return cls(~np.isnan(np.asarray(M, dtype=float)))
 
     @classmethod
     def full(cls, m: int, n: int) -> "Mask":

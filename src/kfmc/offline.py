@@ -91,6 +91,7 @@ class OfflineModel:
     objective_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
     iterations: int = 0
     converged: bool = False
+    stop_reason: str = "t_max"  # see :func:`fit`; "numerical" if it raised
 
     @property
     def completed(self) -> np.ndarray:
@@ -280,14 +281,15 @@ def fit(mm: MaskedMatrix, spec: KernelSpec, hp: OfflineHyperparams,
         update_completion: bool = True) -> OfflineModel:
     """Run the batch solver and return the completed model.
 
-    Each sweep updates the codes in closed form, then applies momentum
-    Newton steps to the dictionary and (unless ``update_completion`` is
-    False, for fully observed training data) to the completion, restoring
-    the observed entries afterwards.  In momentum-free runs (eta = 0) a
-    step that increases the objective is retried once at half its length
-    (the relaxation doubled), then accepted; with momentum the transient
-    increases are part of how the iteration escapes poor joint
-    configurations, so steps are applied as computed.
+    Each sweep solves the codes in closed form, then moves the dictionary
+    and (unless ``update_completion`` is False, for fully observed training
+    data) the completion by -mom, ``mom = eta * mom + step`` for the relaxed
+    Newton step, to a trial point whose kernels the state keeps.  Guarded
+    runs (eta = 0) also evaluate the trial's objective and, if it rises,
+    move half as far; with momentum, transient rises help the iteration
+    escape poor joint configurations.  ``stop_reason`` is "tol" once a
+    sweep changes the objective by less than ``tol`` (``converged``), else
+    "t_max"; "diverged" if the last objective ends above the first.
     """
     if mm.mask.n_observed < 1:
         raise ValueError("at least one observed entry is required")
@@ -297,78 +299,74 @@ def fit(mm: MaskedMatrix, spec: KernelSpec, hp: OfflineHyperparams,
     mom_X = np.zeros((m, n))
     X = mm.completion.copy()
     obs = mm.mask.observed
-    observed_values = mm.values[obs]
     trace: list[float] = []
     Z = np.zeros((hp.r, n))
-    converged = False
+    stop_reason = "t_max"
     t = 0
 
     def partial_model():
         result = mm.copy()
         result.completion[:] = X
-        return OfflineModel(D, Z, result, np.asarray(trace), t, converged)
+        return OfflineModel(D, Z, result, np.asarray(trace), t,
+                            stop_reason == "tol", stop_reason)
+
+    def trial_D(step):
+        D_try = D - step
+        return X, D_try, _state_kernels(spec, X, D_try)
+
+    def trial_X(step):
+        X_try = np.where(obs, X, X - step)
+        return X_try, D, (kernel_matrix(spec, X_try, D), kernels[1])
+
+    def move(trial, mom, current):
+        """Trial point (X, D, kernels) at -mom and, guarded, its objective,
+        retried at -mom / 2 if that exceeds ``current`` (a NaN does not)."""
+        X_try, D_try, K = trial(mom)
+        if not guarded:
+            return X_try, D_try, K, None
+        after = objective(spec, X_try, D_try, Z, hp.alpha, hp.beta, K)
+        if after > current:
+            X_try, D_try, K = trial(0.5 * mom)
+            after = objective(spec, X_try, D_try, Z, hp.alpha, hp.beta, K)
+        return X_try, D_try, K, after
 
     guarded = hp.eta == 0.0
     kernels = _state_kernels(spec, X, D)  # of the current (X, D)
     try:
         for t in range(1, hp.t_max + 1):
             Z = solve_codes(spec, X, D, hp.beta, kernels)
+            current = objective(spec, X, D, Z, hp.alpha, hp.beta,
+                                kernels) if guarded else None
 
-            if guarded:
-                current = objective(spec, X, D, Z, hp.alpha, hp.beta, kernels)
-                first = dictionary_step(spec, X, D, Z, hp.alpha, hp.tau, kernels)
-                for step in (first, 0.5 * first):
-                    D_try = D - step
-                    trial = _state_kernels(spec, X, D_try)
-                    after = objective(spec, X, D_try, Z, hp.alpha, hp.beta, trial)
-                    # a NaN objective compares false: the step is accepted
-                    # here and rejected by the finiteness check below
-                    if not after > current:
-                        break
-                mom_D, kernels, current = step, trial, after
-            else:
-                mom_D = hp.eta * mom_D + dictionary_step(
-                    spec, X, D, Z, hp.alpha, hp.tau, kernels)
-                D_try = D - mom_D
-                kernels = None
+            mom_D = hp.eta * mom_D + dictionary_step(spec, X, D, Z, hp.alpha,
+                                                     hp.tau, kernels)
+            _, D_try, kernels, current = move(trial_D, mom_D, current)
             if not np.all(np.isfinite(D_try)):
                 raise NumericalError("dictionary update diverged")
             D = D_try
 
             if update_completion:
-                if guarded:
-                    first = completion_step(spec, X, D, Z, hp.tau, kernels)
-                    for step in (first, 0.5 * first):
-                        X_try = X - step
-                        X_try[obs] = observed_values
-                        trial = (kernel_matrix(spec, X_try, D), kernels[1])
-                        after = objective(spec, X_try, D, Z, hp.alpha, hp.beta,
-                                          trial)
-                        if not after > current:
-                            break
-                    mom_X, kernels, current = step, trial, after
-                else:
-                    mom_X = hp.eta * mom_X + completion_step(spec, X, D, Z,
-                                                             hp.tau)
-                    X_try = X - mom_X
-                    X_try[obs] = observed_values
+                mom_X = hp.eta * mom_X + completion_step(spec, X, D, Z, hp.tau,
+                                                         kernels)
+                X_try, _, kernels, current = move(trial_X, mom_X, current)
                 if not np.all(np.isfinite(X_try)):
                     raise NumericalError("completion update diverged")
                 X = X_try
 
-            if not guarded:
-                kernels = _state_kernels(spec, X, D)
-                current = objective(spec, X, D, Z, hp.alpha, hp.beta, kernels)
-            trace.append(current)
+            # a guarded sweep has evaluated its end point already
+            trace.append(current if guarded else
+                         objective(spec, X, D, Z, hp.alpha, hp.beta, kernels))
             if len(trace) >= 2:
                 prev = trace[-2]
                 if abs(trace[-1] - prev) < hp.tol * max(abs(prev), 1e-30):
-                    converged = True
+                    stop_reason = "tol"
                     break
     except NumericalError as exc:
+        stop_reason = "numerical"
         exc.model = partial_model()
         exc.trace = np.asarray(trace)
-        exc.iteration = t
         raise
 
+    if trace[-1] > trace[0]:
+        stop_reason = "diverged"
     return partial_model()

@@ -312,6 +312,21 @@ def test_numerical_failure_exits_3(tmp_path):
     assert (out / "trace.csv").exists()
 
 
+def test_diverged_complete_exits_3_with_partial_trace(tmp_path, capsys):
+    data = tmp_path / "data"
+    run("gen", "--preset", "union-nonlinear", "--missing", "0.3", "--seed", 1,
+        "--out", data)
+    out = tmp_path / "out"
+    assert run("complete", "--data", data / "data.csv", "--mask",
+               data / "mask.csv", "--eta", 0.9, "--out", out) == 3
+    assert "objective ended above its first value" in capsys.readouterr().err
+    trace = (out / "trace.csv").read_text().strip().split("\n")
+    assert trace[0] == "iteration,objective" and len(trace) > 2
+    objective = [float(line.split(",")[1]) for line in trace[1:]]
+    assert objective[-1] > objective[0]
+    assert not (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("flags", [("--sigma", "1e300"), ("--sigma", "inf"),
                                    ("--sigma", "nan"),
                                    ("--method", "kfmc-poly", "--offset", "inf")])

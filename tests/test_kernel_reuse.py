@@ -63,6 +63,23 @@ def test_momentum_fit_builds_at_most_three_kernels_per_sweep(
     assert (counts[6] - counts[1]) / 5 <= 3
 
 
+@pytest.mark.parametrize("update_completion", [True, False])
+def test_guarded_fit_builds_at_most_six_kernels_per_sweep(
+        count_kernels, update_completion):
+    # 3 per sweep, plus 2 for a retried dictionary step and 1 for a retried
+    # completion step
+    mm = _problem()
+    spec = KernelSpec.rbf(2.0)
+    counts = {}
+    for t_max in (1, 6):
+        count_kernels.clear()
+        hp = OfflineHyperparams(r=8, eta=0.0, t_max=t_max, tol=0.0)
+        model = fit(mm, spec, hp, update_completion=update_completion)
+        assert model.iterations == t_max
+        counts[t_max] = len(count_kernels)
+    assert (counts[6] - counts[1]) / 5 <= 6
+
+
 def test_guarded_sample_builds_at_most_two_kernels_per_iteration(
         count_kernels, count_objectives):
     rng = np.random.default_rng(5)

@@ -30,6 +30,13 @@ def test_impute_zero_strategy(rng):
     assert np.array_equal(mm.completion[mask.observed], M[mask.observed])
 
 
+def test_from_dense_marks_only_nan_missing():
+    # the CLI reader's rule: an inf is an observed (and invalid) value
+    M = np.array([[1.0, np.nan, np.inf], [-np.inf, 2.0, np.nan]])
+    assert np.array_equal(Mask.from_dense(M).observed,
+                          [[True, False, True], [True, True, False]])
+
+
 def test_impute_empty_row_falls_back_to_zero():
     M = np.array([[np.nan, np.nan], [1.0, 3.0]])
     mm = impute_init(M, Mask.from_dense(M), strategy="row_mean")

@@ -349,6 +349,22 @@ def test_fit_momentum_reaches_final_objective_faster():
     assert reached[0] + 1 <= plain.iterations
 
 
+def test_fit_reports_divergence():
+    # the data of `kfmc gen --preset union-nonlinear --missing 0.3 --seed 1`
+    # at the CLI's RBF defaults: eta = 0.9 ends above its first objective
+    X_true, _ = generate(SyntheticSpec(d=3, p=3, u=3, m=30, n_per=100, seed=1))
+    mask = random_mask(30, 300, 0.3, seed=2)
+    mm = impute_init(np.where(mask.observed, X_true, np.nan), mask)
+    spec = KernelSpec.rbf(mean_pairwise_distance(mm.completion))
+    diverged = fit(mm, spec, OfflineHyperparams(r=60, beta=1e-4, eta=0.9))
+    assert diverged.stop_reason == "diverged" and not diverged.converged
+    assert diverged.objective_trace[-1] > diverged.objective_trace[0]
+    default = fit(mm, spec, OfflineHyperparams(r=60, beta=1e-4))
+    assert default.stop_reason in ("tol", "t_max")
+    assert default.converged == (default.stop_reason == "tol")
+    assert default.objective_trace[-1] < default.objective_trace[0]
+
+
 def test_fit_twisted_cubic_recovery_and_failure():
     X = twisted_cubic(100, seed=5)
     mask1 = random_mask(3, 100, 0.0, seed=6, per_column_exact=1)
