@@ -24,7 +24,7 @@ from .dataio import (ensure_dir, read_mask_csv, read_matrix_csv, write_json,
                      write_mask_csv, write_matrix_csv, write_trace_csv)
 from .exceptions import NumericalError
 from .kernels import KernelSpec
-from .masking import Mask, MaskedMatrix, impute_init
+from .masking import Mask, impute_init
 from .metrics import numerical_rank, relative_error
 from .offline import OfflineHyperparams, fit
 from .online import OnlineHyperparams, OnlineModel, run_stream
@@ -131,35 +131,36 @@ def _samples(data, mask: Mask) -> list:
     return [(masked[:, j], mask.column_split(j)[0]) for j in range(mask.n)]
 
 
-def _mean_distance(mm: MaskedMatrix, seed) -> float:
+def _mean_distance(data, mask: Mask, seed) -> float:
     # the bandwidth heuristic and the --grid widths always measure the
-    # row-mean-imputed matrix, independent of the completion init strategy
-    reference = impute_init(mm.values, mm.mask, strategy="row_mean")
+    # row-mean-imputed matrix, independent of complete's --init
+    reference = impute_init(data, mask, strategy="row_mean")
     return mean_pairwise_distance(reference.completion, seed=seed)
 
 
-def _kernel_from_args(args, kind, mm) -> KernelSpec:
+def _kernel_from_args(args, kind, data, mask) -> KernelSpec:
     if kind == "poly":
         return KernelSpec.poly(degree=args.degree, offset=args.offset)
     if args.sigma is not None:
         return KernelSpec.rbf(sigma=args.sigma)
-    return KernelSpec.rbf(sigma=args.sigma_mult * _mean_distance(mm, args.seed))
+    return KernelSpec.rbf(
+        sigma=args.sigma_mult * _mean_distance(data, mask, args.seed))
 
 
 def _default_r(spec, m) -> int:
     return 2 * m if spec.is_rbf else m
 
 
-def _beta(args, spec, metadata=None) -> float:
-    """--beta, else the checkpoint's beta, else the kernel's default.  A
-    negative code ridge is refused: K_DD + beta I need not be definite."""
+def _beta(args, spec, metadata=None, path=None) -> float:
+    """--beta, else the beta of checkpoint ``path``, else the kernel's default.
+    A negative code ridge is refused: K_DD + beta I need not be definite."""
     if args.beta is not None:
         beta, source = args.beta, "--beta"
     else:
         beta = (metadata or {}).get("beta", 1e-4 if spec.is_rbf else 0.1)
-        source = "the checkpoint's beta (set --beta to override it)"
-    if not beta >= 0:
-        raise ValueError(f"{source} must be >= 0, got {beta}")
+        source = f"the beta of {path} (set --beta to override it)"
+    if type(beta) not in (int, float) or not beta >= 0:
+        raise ValueError(f"{source} must be a number >= 0, got {beta!r}")
     return beta
 
 
@@ -169,7 +170,7 @@ def _load_model(args, path, m):
     if D.shape[0] != m:
         raise ValueError(f"checkpoint rows {D.shape[0]} != data rows {m}")
     metadata = header.get("metadata", {})
-    return D, spec, _beta(args, spec, metadata), metadata
+    return D, spec, _beta(args, spec, metadata, path), metadata
 
 
 def _inner_loop_report(iterations: int, hit_limit: int, samples: int) -> dict:
@@ -234,7 +235,7 @@ def cmd_complete(args) -> int:
             if truth is None:
                 raise ValueError("--grid requires ground truth "
                                  "(fully observed --data or --truth)")
-            dbar = _mean_distance(mm, args.seed)
+            dbar = _mean_distance(data, mask, args.seed)
             candidates = poly_candidates(m) + rbf_candidates(m, dbar)
             best, entries = best_offline(mm, truth, candidates, seed=args.seed)
             spec, hp, model = best.spec, best.hp, best.model
@@ -242,7 +243,8 @@ def cmd_complete(args) -> int:
                                "r": e.hp.r, "alpha": e.hp.alpha, "beta": e.hp.beta,
                                "relative_error": e.relative_error} for e in entries]}
         else:
-            spec = _kernel_from_args(args, args.method.removeprefix("kfmc-"), mm)
+            spec = _kernel_from_args(args, args.method.removeprefix("kfmc-"),
+                                     data, mask)
             r = args.r if args.r is not None else _default_r(spec, m)
             hp = OfflineHyperparams(r=r, alpha=args.alpha, beta=_beta(args, spec),
                                     tau=args.tau, eta=args.eta, t_max=args.t_max,
@@ -276,8 +278,7 @@ def cmd_complete(args) -> int:
 def cmd_stream(args) -> int:
     out = ensure_dir(args.out)
     data, mask, truth = _read_problem(args, args.data)
-    mm = impute_init(data, mask, strategy=args.init)
-    m, n = mm.shape
+    m, n = data.shape
     samples = _samples(data, mask)
     start = time.perf_counter()
     if args.resume:
@@ -289,7 +290,7 @@ def cmd_stream(args) -> int:
     elif args.passes < 1:
         raise ValueError("--passes 0 requires --resume (a trained model)")
     else:
-        spec = _kernel_from_args(args, args.kernel or "rbf", mm)
+        spec = _kernel_from_args(args, args.kernel or "rbf", data, mask)
         beta = _beta(args, spec)
         r = args.r if args.r is not None else _default_r(spec, m)
         D0 = None
@@ -321,7 +322,7 @@ def cmd_stream(args) -> int:
         "hyperparameters": {"r": int(model.dictionary.shape[1]),
                             "alpha": args.alpha, "beta": beta, "tau": args.tau,
                             "eta": args.eta, "n_iter": args.n_iter,
-                            "n_pass": args.passes},
+                            "n_pass": args.passes, "tol": args.tol},
         "iterations": int(model.samples_seen),
         **inner_loops,
     })
@@ -369,7 +370,7 @@ def cmd_ose(args) -> int:
                    "kernel": kernel_to_dict(spec),
                    "hyperparameters": {"beta": beta, "n_iter": args.n_iter,
                                        "eta": args.eta, "tau": args.tau,
-                                       "r": int(D.shape[1])},
+                                       "tol": args.tol, "r": int(D.shape[1])},
                    "iterations": n, **inner_loops}
     _finish(args, out, start, X_hat, mask, truth, payload)
     print(f"completed {n} new columns; report in {out}")
@@ -403,10 +404,9 @@ def _add_run_flags(p):
 
 
 def _add_fit_flags(p):
-    """Flags shared by complete and stream: the run flags, init and kernel."""
+    """Flags shared by complete and stream: the run flags and the kernel."""
     p.add_argument("--data", required=True)
     _add_run_flags(p)
-    p.add_argument("--init", choices=["row_mean", "zero"], default="row_mean")
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--degree", type=int, default=2)
@@ -437,6 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("complete", help="batch completion of one matrix")
     _add_fit_flags(c)
+    c.add_argument("--init", choices=["row_mean", "zero"], default="row_mean")
     c.add_argument("--method", choices=["kfmc-poly", "kfmc-rbf", "lrf"],
                    default="kfmc-rbf")
     c.add_argument("--grid", action="store_true",

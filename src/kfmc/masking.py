@@ -1,8 +1,8 @@
 """Partially observed matrices: mask bookkeeping, imputation, projection.
 
 The mask is authoritative: values stored at unobserved positions are never
-used in arithmetic, and the working completion is kept consistent with the
-observed data by :func:`project_observed`.
+used in arithmetic.  A :class:`MaskedMatrix` starts out agreeing with the
+observed data (:func:`project_observed`); the solvers move missing entries only.
 """
 from __future__ import annotations
 

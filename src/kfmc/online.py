@@ -5,7 +5,8 @@ relaxed Newton step on its unobserved entries, after which the dictionary
 takes one gradient step scaled by the spectral norm of the local curvature.
 The step, the per-column objective and the code solve are the batch
 solver's (:mod:`kfmc.offline`), so all three solvers share one algebra.
-Model state is O(m*r + r^2); nothing sized by the stream length is stored.
+Model state is O(m*r + r^2), except ``cost_trace`` / ``err_trace``, which
+gain one entry per visit; :func:`run_stream` also holds the (m, n) stream.
 
 One inner loop, :func:`_complete_block`, serves the streaming and the
 out-of-sample solvers.  It works on an (m, b) block of columns or on a
@@ -75,11 +76,6 @@ class OnlineModel:
         self.samples_hit_iter_limit = 0
         self.cost_trace: list[float] = []
         self.err_trace: list[float] = []
-
-    @classmethod
-    def init(cls, m: int, r: int, seed: int | None = 0) -> "OnlineModel":
-        rng = np.random.default_rng(seed)
-        return cls(rng.standard_normal((m, r)))
 
 
 @dataclass(frozen=True)
@@ -169,6 +165,7 @@ def _complete_block(spec: KernelSpec, D: np.ndarray, system, X: np.ndarray,
         momentum += step
         move = missing & active[..., None, :]
         X_try = np.where(move, X - momentum, X)
+        K_try = kernel_matrix(spec, D, X_try, sq_D)
         if guarded:
             # guarded Newton: a step that raises the per-sample objective is
             # retried once at doubled relaxation (half the step), then
@@ -176,7 +173,6 @@ def _complete_block(spec: KernelSpec, D: np.ndarray, system, X: np.ndarray,
             # its code-only terms.
             terms = _code_terms(Z, K_DD, alpha, beta, reg_d)
             before = sample_objective(spec, X, Z, D, alpha, beta, K, K_DD, terms)
-            K_try = kernel_matrix(spec, D, X_try, sq_D)
             after = sample_objective(spec, X_try, Z, D, alpha, beta, K_try,
                                      K_DD, terms)
             retry = active & (after > before)
@@ -199,10 +195,7 @@ def _complete_block(spec: KernelSpec, D: np.ndarray, system, X: np.ndarray,
         X_miss *= X_miss
         done |= np.add.reduce(dX, axis=-2) < \
             tol2 * np.maximum(np.add.reduce(X_miss, axis=-2), 1e-60)
-        X = X_try
-        # a trial point's kernel was evaluated for its objective; a column
-        # that did not move gets the same bits from the same values
-        K = K_try if guarded else kernel_matrix(spec, D, X, sq_D)
+        X, K = X_try, K_try
     Z = solve_op @ K
     objective = sample_objective(spec, X, Z, D, alpha, beta, K, K_DD,
                                  _code_terms(Z, K_DD, alpha, beta, reg_d))
@@ -217,14 +210,6 @@ def _complete_block(spec: KernelSpec, D: np.ndarray, system, X: np.ndarray,
     return X, Z, K, infos
 
 
-def _check_indices(observed_idx, m: int) -> np.ndarray:
-    observed_idx = np.asarray(observed_idx, dtype=int)
-    if observed_idx.size and not (
-            0 <= observed_idx.min() and observed_idx.max() < m):
-        raise ValueError(f"observed indices must lie in [0, {m})")
-    return observed_idx
-
-
 def _prepare_columns(samples, D: np.ndarray):
     """Split (x, observed_idx) samples into working columns X0 (m, n) and
     their missing-entry mask (m, n).
@@ -232,8 +217,8 @@ def _prepare_columns(samples, D: np.ndarray):
     Missing entries that are NaN get an initial value (mean of the column's
     observed entries, or the dictionary's row means when nothing is
     observed); finite values at missing positions are kept as a warm start.
-    The indices of all samples are checked at once, and so is the
-    finiteness of the observed values.
+    The lengths and indices of all samples are checked at once, and so is
+    the finiteness of the observed values.
     """
     m = D.shape[0]
     xs, idxs = [], []
@@ -245,8 +230,9 @@ def _prepare_columns(samples, D: np.ndarray):
         xs.append(x)
         idxs.append(np.asarray(idx, dtype=int))
     X0 = np.stack(xs, axis=1) if xs else np.empty((m, 0))
-    if idxs:
-        _check_indices(np.concatenate(idxs), m)
+    every = np.concatenate(idxs) if idxs else np.empty(0, dtype=int)
+    if every.size and not (0 <= every.min() and every.max() < m):
+        raise ValueError(f"observed indices must lie in [0, {m})")
     missing = np.ones(X0.shape, dtype=bool)
     for j, idx in enumerate(idxs):
         missing[idx, j] = False
@@ -310,29 +296,27 @@ def run_stream(samples, spec: KernelSpec, hp: OnlineHyperparams,
     running mean relative recovery error per visit.  The model totals the
     inner-loop iterations and the samples that hit ``n_iter``.
 
+    The whole stream is checked before the first update, so a bad sample
+    raises ValueError with ``model`` untouched.  A column's missing entries
+    are filled on its first visit, from the dictionary of that time.
+
     Returns the completed matrix in stream order and the model.
     """
-    samples = [(np.asarray(x, dtype=float), idx) for x, idx in samples]
+    samples = list(samples)
     if not samples:
         raise ValueError("empty sample stream")
-    m = samples[0][0].shape[0]
-    if any(x.shape != (m,) for x, _ in samples):
-        raise ValueError("all samples must have the same length")
-    samples = [(x, _check_indices(idx, m)) for x, idx in samples]
     if model is None:
-        model = OnlineModel.init(m, hp.r, hp.seed)
-    n = len(samples)
-    work = np.full((m, n), np.nan)
-    for j, (x, idx) in enumerate(samples):
-        work[idx, j] = x[idx]
-    last_cost = np.full(n, np.nan)
+        rng = np.random.default_rng(hp.seed)
+        model = OnlineModel(rng.standard_normal((np.size(samples[0][0]), hp.r)))
+    X0, missing = _prepare_columns(samples, model.dictionary)
+    work = np.where(missing, np.nan, X0)
+    last_cost = np.full(len(samples), np.nan)
     cost_sum = 0.0
     seen = 0
     err_sum = 0.0
     visits = 0
     for _ in range(hp.n_pass):
-        for j in range(n):
-            _, obs_idx = samples[j]
+        for j, (_, obs_idx) in enumerate(samples):
             try:
                 x_hat, z, info, kernels = complete_sample(
                     model, work[:, j], obs_idx, spec, hp, return_kernels=True)

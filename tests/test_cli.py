@@ -516,3 +516,107 @@ def test_seeded_runs_are_byte_identical(tmp_path):
         assert (runs[0] / fname).read_bytes() == (runs[1] / fname).read_bytes()
     assert _normalized_report(runs[0] / "report.json") == \
         _normalized_report(runs[1] / "report.json")
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda h: {k: v for k, v in h.items() if k not in ("m", "r")},
+     "header needs integers m, r >= 1"),
+    (lambda h: {**h, "m": -30, "r": -10}, "header needs integers m, r >= 1"),
+    (lambda h: {**h, "kernel": {"kind": "rbf"}}, "bad kernel"),
+    (lambda h: {**h, "kernel": {**h["kernel"], "kind": "laplace"}},
+     "unknown kernel kind 'laplace'"),
+    (lambda h: [h], "not a checkpoint file"),
+    (lambda h: {**h, "format": "npy"}, "not a checkpoint file"),
+    (lambda h: {**h, "version": 2}, "unsupported checkpoint version 2"),
+    (lambda h: {**h, "metadata": [1e-4]}, "metadata must be an object"),
+    (lambda h: {**h, "metadata": {**h["metadata"], "beta": "x"}},
+     "must be a number >= 0, got 'x'"),
+], ids=["no-m-r", "negative-m-r", "no-sigma", "laplace", "list-header",
+        "wrong-format", "wrong-version", "list-metadata", "beta-string"])
+@pytest.mark.parametrize("command", ["ose", "stream-resume"])
+def test_malformed_checkpoint_exits_2_naming_file(
+        union_dir, trained_model, tmp_path, capsys, command, edit, message):
+    # -30 x -10 asks for the payload size of the real 30 x 10 dictionary
+    line, payload = trained_model.read_bytes().split(b"\n", 1)
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(json.dumps(edit(json.loads(line))).encode() + b"\n"
+                     + payload)
+    data = ("--mask", union_dir / "mask.csv", "--n-iter", 3,
+            "--out", tmp_path / "o")
+    if command == "ose":
+        argv = ("ose", "--model", ckpt, "--input", union_dir / "data.csv")
+    else:
+        argv = ("stream", "--resume", ckpt, "--data", union_dir / "data.csv")
+    assert run(*argv, *data) == 2
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and message in err
+    assert not (tmp_path / "o" / "completed.csv").exists()
+
+
+def test_stream_and_ose_reports_record_tol(union_dir, trained_model, tmp_path):
+    data = ("--mask", union_dir / "mask.csv", "--n-iter", 3, "--tol", 1e-3)
+    assert run("stream", "--data", union_dir / "data.csv", "--r", 10, *data,
+               "--out", tmp_path / "s") == 0
+    assert run("ose", "--model", trained_model, "--input",
+               union_dir / "data.csv", *data, "--out", tmp_path / "o") == 0
+    for out in ("s", "o"):
+        assert load_report(tmp_path / out)["hyperparameters"]["tol"] == 1e-3
+
+
+def test_stream_has_no_init_flag(union_dir, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run("stream", "--data", union_dir / "data.csv", "--init", "zero",
+            "--out", tmp_path / "o")
+    assert exc.value.code == 2
+
+
+def test_complete_grid(tmp_path, capsys):
+    from kfmc.dataio import write_matrix_csv
+    gen = tmp_path / "tc"
+    assert run("gen", "--preset", "twisted-cubic", "--n-per", 30,
+               "--per-column-missing", 1, "--seed", 5, "--out", gen) == 0
+    out = tmp_path / "grid"
+    assert run("complete", "--data", gen / "data.csv", "--mask",
+               gen / "mask.csv", "--grid", "--seed", 0, "--out", out) == 0
+    report = load_report(out)
+    assert report["method"] == "kfmc-grid"
+    best = min(e["relative_error"] for e in report["grid"])
+    assert report["grid"] and report["relative_error"] == pytest.approx(best)
+    # without a fully observed --data or a --truth there is nothing to rank by
+    X = read_matrix_csv(gen / "data.csv")
+    mask = read_mask_csv(gen / "mask.csv")
+    write_matrix_csv(tmp_path / "holes.csv", np.where(mask.observed, X, np.nan))
+    assert run("complete", "--data", tmp_path / "holes.csv", "--grid",
+               "--out", tmp_path / "x") == 2
+    assert "--grid requires ground truth" in capsys.readouterr().err
+
+
+def test_gen_continuous_seqs(tmp_path, capsys):
+    out = tmp_path / "g"
+    assert run("gen", "--preset", "single-nonlinear", "--missing", 0.2,
+               "--continuous-seqs", 3, "--seed", 1, "--out", out) == 0
+    mask = read_mask_csv(out / "mask.csv")
+    assert mask.shape == (30, 100)
+    assert read_json(out / "manifest.json")["observed_fraction"] == \
+        pytest.approx(0.8, abs=0.05)
+    assert run("gen", "--preset", "single-nonlinear", "--continuous-seqs", 3,
+               "--out", tmp_path / "x") == 2
+    assert "--continuous-seqs requires --missing" in capsys.readouterr().err
+
+
+def test_bounds_out_file(tmp_path, capsys):
+    path = tmp_path / "bounds.json"
+    assert run("bounds", "--m", 20, "--d", 2, "--p", 2, "--u", 3, "--q", 2,
+               "--n", 300, "--out", path) == 0
+    assert json.loads(path.read_text()) == json.loads(capsys.readouterr().out)
+
+
+def test_mask_shape_mismatch_exit_2(union_dir, tmp_path, capsys):
+    from kfmc.dataio import write_mask_csv
+    from kfmc.masking import Mask
+    write_mask_csv(tmp_path / "mask.csv", Mask.full(30, 7))
+    for command in ("complete", "stream"):
+        assert run(command, "--data", union_dir / "data.csv", "--mask",
+                   tmp_path / "mask.csv", "--out", tmp_path / command) == 2
+        assert "mask shape does not match data shape" in \
+            capsys.readouterr().err

@@ -321,3 +321,27 @@ def test_run_stream_totals_each_sample_inner_loop(monkeypatch):
     assert model.samples_hit_iter_limit == sum(i.hit_iter_limit for i in infos)
     # the run mixes samples that stop early with samples that hit the cap
     assert 0 < model.samples_hit_iter_limit < 80
+
+
+def test_run_stream_rejects_empty_stream():
+    with pytest.raises(ValueError, match="empty sample stream"):
+        run_stream([], KernelSpec.rbf(1.0), OnlineHyperparams(r=3))
+
+
+@pytest.mark.parametrize("bad_sample,message", [
+    ((np.array([1.0, np.inf, np.nan, 2.0]), [0, 1, 3]),
+     "observed entries must be finite"),
+    ((np.array([1.0, np.nan, np.nan, 2.0]), [0, 4]), "observed indices"),
+    ((np.ones(5), np.arange(5)), "sample length"),
+], ids=["inf-observed", "index-out-of-range", "wrong-length"])
+def test_bad_later_sample_leaves_model_untouched(rng, bad_sample, message):
+    # the whole stream is checked before the first dictionary update
+    D = rng.standard_normal((4, 3))
+    model = OnlineModel(D)
+    good = (np.array([0.5, np.nan, -1.0, 2.0]), [0, 2, 3])
+    with pytest.raises(ValueError, match=message):
+        run_stream([good, good, bad_sample], KernelSpec.rbf(1.0),
+                   OnlineHyperparams(r=3, n_iter=5, seed=0), model=model)
+    assert model.samples_seen == 0
+    assert np.array_equal(model.dictionary, D)
+    assert not model.dict_momentum.any() and model.cost_trace == []
