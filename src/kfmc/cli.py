@@ -165,12 +165,17 @@ def _beta(args, spec, metadata=None, path=None) -> float:
 
 
 def _load_model(args, path, m):
-    """Dictionary, kernel, beta and run metadata of a checkpoint for m rows."""
+    """Dictionary, kernel, beta and samples seen of a checkpoint for m rows.
+    A checkpoint without ``samples_seen`` has seen 0 samples."""
     D, spec, header = load_checkpoint(path)
     if D.shape[0] != m:
         raise ValueError(f"checkpoint rows {D.shape[0]} != data rows {m}")
     metadata = header.get("metadata", {})
-    return D, spec, _beta(args, spec, metadata, path), metadata
+    seen = metadata.get("samples_seen", 0)
+    if type(seen) is not int or seen < 0:
+        raise ValueError(f"{path}: metadata samples_seen must be an integer "
+                         f">= 0, got {seen!r}")
+    return D, spec, _beta(args, spec, metadata, path), seen
 
 
 def _inner_loop_report(iterations: int, hit_limit: int, samples: int) -> dict:
@@ -281,24 +286,26 @@ def cmd_stream(args) -> int:
     m, n = data.shape
     samples = _samples(data, mask)
     start = time.perf_counter()
+    model = None
     if args.resume:
-        D0, spec, beta, metadata = _load_model(args, args.resume, m)
+        D0, spec, beta, seen = _load_model(args, args.resume, m)
         if args.kernel and spec.kind != args.kernel:
             raise ValueError(f"checkpoint kernel {spec.kind!r} does not match "
                              f"--kernel {args.kernel!r}")
         r = D0.shape[1]
+        # the count carries over; the inner-loop totals are this run's
+        model = OnlineModel(D0)
+        model.samples_seen = seen
     elif args.passes < 1:
         raise ValueError("--passes 0 requires --resume (a trained model)")
     else:
         spec = _kernel_from_args(args, args.kernel or "rbf", data, mask)
         beta = _beta(args, spec)
         r = args.r if args.r is not None else _default_r(spec, m)
-        D0 = None
 
     if args.passes == 0:
-        X_hat, inner_loops = _complete_frozen(args, D0, spec, beta, samples)
-        model = OnlineModel(D0)
-        model.samples_seen = metadata.get("samples_seen", 0)
+        X_hat, inner_loops = _complete_frozen(args, model.dictionary, spec,
+                                              beta, samples)
     else:
         hp = OnlineHyperparams(r=r, alpha=args.alpha, beta=beta, tau=args.tau,
                                eta=args.eta, n_iter=args.n_iter,
@@ -306,7 +313,7 @@ def cmd_stream(args) -> int:
                                seed=args.seed)
         try:
             X_hat, model = run_stream(samples, spec, hp, ground_truth=truth,
-                                      model=None if D0 is None else OnlineModel(D0))
+                                      model=model)
         except NumericalError as exc:
             # run_stream hands over the model it was updating
             _write_trace(out, "t", empirical_cost=exc.model.cost_trace,
@@ -314,7 +321,7 @@ def cmd_stream(args) -> int:
             raise
         inner_loops = _inner_loop_report(model.inner_iterations,
                                          model.samples_hit_iter_limit,
-                                         model.samples_seen)
+                                         n * args.passes)
 
     _finish(args, out, start, X_hat, mask, truth, {
         "method": f"ol-kfmc-{spec.kind}",
@@ -323,13 +330,13 @@ def cmd_stream(args) -> int:
                             "alpha": args.alpha, "beta": beta, "tau": args.tau,
                             "eta": args.eta, "n_iter": args.n_iter,
                             "n_pass": args.passes, "tol": args.tol},
-        "iterations": int(model.samples_seen),
+        "iterations": model.samples_seen,
         **inner_loops,
     })
     _write_trace(out, "t", empirical_cost=model.cost_trace,
                  empirical_error=model.err_trace)
     save_checkpoint(out / "model.ckpt", model.dictionary, spec, metadata={
-        "beta": beta, "samples_seen": int(model.samples_seen), "seed": args.seed,
+        "beta": beta, "samples_seen": model.samples_seen, "seed": args.seed,
         "n_iter": args.n_iter, "eta": args.eta, "tau": args.tau,
     })
     print(f"streamed {n} columns x {args.passes} passes; report in {out}")
@@ -398,7 +405,11 @@ def _add_run_flags(p):
                         "else 1e-4 (rbf) or 0.1 (poly)")
     p.add_argument("--tau", type=float, default=2.0)
     p.add_argument("--eta", type=float, default=0.5)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=OnlineHyperparams.tol,
+                   help="stop when the relative change falls below this: "
+                        "of the objective over one sweep (complete), of a "
+                        "column's missing entries over one inner iteration "
+                        "(stream, ose); default %(default)s")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
@@ -446,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--rank", type=int, default=None, help="lrf rank")
     c.add_argument("--ridge", type=float, default=1e-4, help="lrf ridge")
     c.add_argument("--iters", type=int, default=100, help="lrf sweeps")
-    c.set_defaults(func=cmd_complete)
+    c.set_defaults(func=cmd_complete, tol=OfflineHyperparams.tol)
 
     s = sub.add_parser("stream", help="online completion, column by column")
     _add_fit_flags(s)

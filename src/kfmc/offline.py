@@ -61,8 +61,11 @@ class OfflineHyperparams:
 
     r is the dictionary size; alpha and beta regularize the dictionary image
     and the codes; tau > 1 relaxes the Newton steps; eta in [0, 1) is the
-    momentum weight.  Iteration stops when the relative objective change
-    drops below tol or after t_max sweeps.
+    momentum weight.  Iteration stops once one sweep changes the objective
+    by less than tol relative to the previous sweep, or after t_max sweeps.
+    On the union-nonlinear preset the change per sweep falls below the
+    default 1e-4 after some 200-250 sweeps but reaches 1e-6 only near
+    sweep 430-500, while the relative error hardly moves in between.
     """
 
     r: int
@@ -71,7 +74,7 @@ class OfflineHyperparams:
     tau: float = 2.0
     eta: float = 0.5
     t_max: int = 500
-    tol: float = 1e-6
+    tol: float = 1e-4
     seed: int | None = 0
 
     def __post_init__(self):
@@ -288,8 +291,11 @@ def fit(mm: MaskedMatrix, spec: KernelSpec, hp: OfflineHyperparams,
     runs (eta = 0) also evaluate the trial's objective and, if it rises,
     move half as far; with momentum, transient rises help the iteration
     escape poor joint configurations.  ``stop_reason`` is "tol" once a
-    sweep changes the objective by less than ``tol`` (``converged``), else
-    "t_max"; "diverged" if the last objective ends above the first.
+    sweep changes the objective by less than ``hp.tol`` relative to the
+    previous sweep (``converged``), else "t_max"; "diverged" if the last
+    objective ends above the first.  Stopping by ``tol`` only cuts the run
+    short: the result equals that of the same settings with ``t_max`` set
+    to the sweeps run and ``tol = 0``, bit for bit.
     """
     if mm.mask.n_observed < 1:
         raise ValueError("at least one observed entry is required")

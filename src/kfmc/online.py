@@ -65,7 +65,8 @@ class OnlineModel:
     """Dictionary plus momentum buffer and running diagnostics.
 
     ``inner_iterations`` and ``samples_hit_iter_limit`` total the inner
-    loops of the ``samples_seen`` samples; checkpoints do not store them.
+    loops this model ran; checkpoints do not store them.  ``samples_seen``
+    is stored, and a model resumed from a checkpoint counts on from it.
     """
 
     def __init__(self, dictionary: np.ndarray):

@@ -531,9 +531,20 @@ def test_seeded_runs_are_byte_identical(tmp_path):
     (lambda h: {**h, "metadata": [1e-4]}, "metadata must be an object"),
     (lambda h: {**h, "metadata": {**h["metadata"], "beta": "x"}},
      "must be a number >= 0, got 'x'"),
+    (lambda h: {**h, "metadata": {**h["metadata"], "samples_seen": [100]}},
+     "samples_seen must be an integer >= 0, got [100]"),
+    (lambda h: {**h, "metadata": {**h["metadata"], "samples_seen": "many"}},
+     "samples_seen must be an integer >= 0, got 'many'"),
+    (lambda h: {**h, "metadata": {**h["metadata"], "samples_seen": -1}},
+     "samples_seen must be an integer >= 0, got -1"),
+    (lambda h: {**h, "metadata": {**h["metadata"], "samples_seen": True}},
+     "samples_seen must be an integer >= 0, got True"),
 ], ids=["no-m-r", "negative-m-r", "no-sigma", "laplace", "list-header",
-        "wrong-format", "wrong-version", "list-metadata", "beta-string"])
-@pytest.mark.parametrize("command", ["ose", "stream-resume"])
+        "wrong-format", "wrong-version", "list-metadata", "beta-string",
+        "samples-seen-list", "samples-seen-string", "samples-seen-negative",
+        "samples-seen-bool"])
+@pytest.mark.parametrize("command", ["ose", "stream-resume",
+                                     "stream-passes-0"])
 def test_malformed_checkpoint_exits_2_naming_file(
         union_dir, trained_model, tmp_path, capsys, command, edit, message):
     # -30 x -10 asks for the payload size of the real 30 x 10 dictionary
@@ -546,11 +557,43 @@ def test_malformed_checkpoint_exits_2_naming_file(
     if command == "ose":
         argv = ("ose", "--model", ckpt, "--input", union_dir / "data.csv")
     else:
-        argv = ("stream", "--resume", ckpt, "--data", union_dir / "data.csv")
+        argv = ("stream", "--resume", ckpt, "--data", union_dir / "data.csv",
+                "--passes", 0 if command == "stream-passes-0" else 1)
     assert run(*argv, *data) == 2
     err = capsys.readouterr().err
     assert str(ckpt) in err and message in err
     assert not (tmp_path / "o" / "completed.csv").exists()
+
+
+def test_resumed_stream_carries_samples_seen(union_dir, tmp_path):
+    files = ("--data", union_dir / "data.csv", "--mask", union_dir / "mask.csv")
+    data = (*files, "--passes", 2, "--r", 10, "--n-iter", 3, "--seed", 0)
+    assert run("stream", *data, "--out", tmp_path / "s0") == 0
+    for i in (1, 2):
+        assert run("stream", *data, "--resume",
+                   tmp_path / f"s{i - 1}" / "model.ckpt",
+                   "--out", tmp_path / f"s{i}") == 0
+    _, _, header = load_checkpoint(tmp_path / "s2" / "model.ckpt")
+    assert header["metadata"]["samples_seen"] == 600
+    report = load_report(tmp_path / "s2")
+    assert report["iterations"] == 600
+    # the inner-loop keys describe this run's 200 visits, all at the cap of 3
+    assert report["mean_inner_iterations"] == 3.0
+    assert report["samples_hit_iter_limit"] == 200
+    assert run("stream", *files, "--passes", 0, "--resume",
+               tmp_path / "s2" / "model.ckpt", "--out", tmp_path / "p0") == 0
+    assert load_report(tmp_path / "p0")["iterations"] == 600
+
+
+def test_resume_without_samples_seen_starts_at_zero(union_dir, trained_model,
+                                                    tmp_path):
+    D, spec, _ = load_checkpoint(trained_model)
+    ckpt = tmp_path / "bare.ckpt"
+    save_checkpoint(ckpt, D, spec)
+    assert run("stream", "--data", union_dir / "data.csv", "--resume", ckpt,
+               "--n-iter", 3, "--out", tmp_path / "o") == 0
+    _, _, header = load_checkpoint(tmp_path / "o" / "model.ckpt")
+    assert header["metadata"]["samples_seen"] == 100
 
 
 def test_stream_and_ose_reports_record_tol(union_dir, trained_model, tmp_path):
@@ -561,6 +604,39 @@ def test_stream_and_ose_reports_record_tol(union_dir, trained_model, tmp_path):
                union_dir / "data.csv", *data, "--out", tmp_path / "o") == 0
     for out in ("s", "o"):
         assert load_report(tmp_path / out)["hyperparameters"]["tol"] == 1e-3
+
+
+def test_tol_defaults_per_command(union_dir, trained_model, tmp_path):
+    # complete stops on the objective per sweep; stream and ose stop each
+    # column's inner loop, which keeps its own, tighter default
+    assert run("complete", "--data", union_dir / "data.csv", "--mask",
+               union_dir / "mask.csv", "--r", 10, "--t-max", 5,
+               "--out", tmp_path / "c") == 0
+    data = ("--mask", union_dir / "mask.csv", "--n-iter", 3)
+    assert run("stream", "--data", union_dir / "data.csv", "--r", 10, *data,
+               "--out", tmp_path / "s") == 0
+    assert run("ose", "--model", trained_model, "--input",
+               union_dir / "data.csv", *data, "--out", tmp_path / "o") == 0
+    tols = {out: load_report(tmp_path / out)["hyperparameters"]["tol"]
+            for out in ("c", "s", "o")}
+    assert tols == {"c": 1e-4, "s": 1e-6, "o": 1e-6}
+
+
+def test_complete_default_stops_by_tol(tmp_path):
+    gen = tmp_path / "g"
+    run("gen", "--preset", "union-nonlinear", "--missing", 0.3, "--seed", 1,
+        "--out", gen)
+    data = ("--data", gen / "data.csv", "--mask", gen / "mask.csv")
+    assert run("complete", *data, "--out", tmp_path / "default") == 0
+    assert run("complete", *data, "--tol", 1e-6, "--out", tmp_path / "old") == 0
+    default, old = (load_report(tmp_path / name) for name in ("default", "old"))
+    assert default["hyperparameters"]["tol"] == 1e-4
+    assert default["stop_reason"] == "tol" and default["iterations"] < 500
+    # the earlier default still runs as it did: 472 sweeps to its tol
+    assert old["hyperparameters"]["tol"] == 1e-6
+    assert old["stop_reason"] == "tol" and old["iterations"] == 472
+    assert default["iterations"] < old["iterations"]
+    assert default["relative_error"] <= old["relative_error"]
 
 
 def test_stream_has_no_init_flag(union_dir, tmp_path):

@@ -1,9 +1,13 @@
-"""Property: the shipped solvers never change an observed entry.
+"""Properties of the shipped solvers on small drawn problems.
 
 ``fit``, ``run_stream`` and ``complete_new`` run on small drawn problems
 (shapes, masks and values), with both kernels and both step modes (momentum
 and guarded); every observed entry must come back with the same bits.
+Stopping ``fit`` by ``tol`` only cuts the run short: a run that stops by
+``tol`` has the bits of the run that spends a budget of exactly its sweeps.
 """
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,3 +68,18 @@ def test_complete_new_keeps_observed_entries(problem, seed):
     out = complete_new(D, _samples(values, observed), spec, 0.1, n_iter=5,
                        eta=eta)
     assert np.array_equal(out[observed], values[observed])
+
+
+@SETTINGS
+@given(problems())
+def test_fit_stopping_by_tol_only_cuts_the_run_short(problem):
+    values, observed, spec, eta = problem
+    mm = impute_init(np.where(observed, values, np.nan), Mask(observed))
+    hp = OfflineHyperparams(r=3, beta=0.1, eta=eta, t_max=60, tol=1e-2,
+                            seed=0)
+    model = fit(mm, spec, hp)
+    budget = fit(mm, spec, replace(hp, t_max=model.iterations, tol=0.0))
+    assert budget.iterations == model.iterations
+    for name in ("completed", "dictionary", "codes", "objective_trace"):
+        assert np.array_equal(getattr(model, name), getattr(budget, name),
+                              equal_nan=True), name
