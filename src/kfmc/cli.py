@@ -409,7 +409,8 @@ def _add_run_flags(p):
                    help="stop when the relative change falls below this: "
                         "of the objective over one sweep (complete), of a "
                         "column's missing entries over one inner iteration "
-                        "(stream, ose); default %(default)s")
+                        "(stream, ose, which share the default "
+                        "OnlineHyperparams.tol); default %(default)s")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
@@ -464,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--kernel", choices=["poly", "rbf"], default=None,
                    help="default: the checkpoint's kernel with --resume, else rbf")
     s.add_argument("--passes", type=int, default=1)
-    s.add_argument("--n-iter", type=int, default=30)
+    s.add_argument("--n-iter", type=int, default=OnlineHyperparams.n_iter)
     s.add_argument("--resume", help="checkpoint to continue from")
     s.set_defaults(func=cmd_stream)
 
@@ -472,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--model", help="checkpoint from `kfmc stream`")
     o.add_argument("--input", required=True)
     _add_run_flags(o)
-    o.add_argument("--n-iter", type=int, default=30)
+    o.add_argument("--n-iter", type=int, default=OnlineHyperparams.n_iter)
     o.add_argument("--baseline", choices=["ose-lrf"])
     o.add_argument("--train", help="complete training matrix for ose-lrf")
     o.add_argument("--rank", type=int, default=None, help="ose-lrf basis rank")

@@ -48,9 +48,9 @@ def read_matrix_csv(path) -> np.ndarray:
 def write_matrix_csv(path, X: np.ndarray) -> None:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     with open(path, "w", encoding="utf-8") as fh:
-        for row in X:
-            fh.write(",".join("NaN" if not np.isfinite(v) else _FLOAT_FMT % v
-                              for v in row))
+        for row, row_finite in zip(X.tolist(), np.isfinite(X).tolist()):
+            fh.write(",".join(_FLOAT_FMT % v if ok else "NaN"
+                              for v, ok in zip(row, row_finite)))
             fh.write("\n")
 
 

@@ -20,7 +20,8 @@ from .exceptions import NumericalError
 from .kernels import KernelSpec
 from .masking import Mask, impute_init
 from .offline import OfflineHyperparams, _check_settings, fit
-from .online import SampleInfo, _code_system, _complete_block, _prepare_columns
+from .online import (OnlineHyperparams, SampleInfo, _code_system,
+                     _complete_block, _prepare_columns)
 
 # Columns per block.  Wider blocks make a single-column request, padded to
 # one block, slower.
@@ -48,8 +49,10 @@ def train_dictionary(X_train: np.ndarray, spec: KernelSpec,
 
 
 def complete_new(D: np.ndarray, samples, spec: KernelSpec, beta: float,
-                 n_iter: int = 30, eta: float = 0.5, tau: float = 2.0,
-                 tol: float = 1e-6,
+                 n_iter: int = OnlineHyperparams.n_iter,
+                 eta: float = OnlineHyperparams.eta,
+                 tau: float = OnlineHyperparams.tau,
+                 tol: float = OnlineHyperparams.tol,
                  return_info: bool = False):
     """Complete a batch of (x, observed_idx) samples without touching D.
 
@@ -58,10 +61,15 @@ def complete_new(D: np.ndarray, samples, spec: KernelSpec, beta: float,
     dictionary update, as one stack of zero-padded blocks of :data:`BLOCK`
     columns (per :data:`STACK` columns).  Each product in the loop is one
     BLOCK-wide product per block, so results are bitwise independent of
-    batch composition, size and order.  A bad tau, eta or n_iter, index or
-    observed value raises ValueError.  A :class:`NumericalError` names a
-    failing sample in ``sample_index``; an indefinite K_DD + beta I raises
-    one up front.
+    batch composition, size and order.  The defaults of n_iter, eta, tau and
+    tol are those of :class:`kfmc.online.OnlineHyperparams`: a column stops
+    once one iteration changes its missing entries by less than tol relative
+    to their norm.  The step contracts the error by about 1/sqrt(2) per
+    iteration, so tol = 1e-3 takes about 19 of the 30 iterations (1e-6
+    would need some 40).  A stack iterates until its slowest column stops.
+    A bad tau, eta or n_iter, index or observed value raises ValueError.
+    A :class:`NumericalError` names a failing sample in ``sample_index``; an
+    indefinite K_DD + beta I raises one up front.
     """
     D = np.asarray(D, dtype=float)
     _check_settings(tau=tau, eta=eta, n_iter=n_iter)

@@ -608,7 +608,7 @@ def test_stream_and_ose_reports_record_tol(union_dir, trained_model, tmp_path):
 
 def test_tol_defaults_per_command(union_dir, trained_model, tmp_path):
     # complete stops on the objective per sweep; stream and ose stop each
-    # column's inner loop, which keeps its own, tighter default
+    # column's inner loop, which has its own default
     assert run("complete", "--data", union_dir / "data.csv", "--mask",
                union_dir / "mask.csv", "--r", 10, "--t-max", 5,
                "--out", tmp_path / "c") == 0
@@ -619,7 +619,28 @@ def test_tol_defaults_per_command(union_dir, trained_model, tmp_path):
                union_dir / "data.csv", *data, "--out", tmp_path / "o") == 0
     tols = {out: load_report(tmp_path / out)["hyperparameters"]["tol"]
             for out in ("c", "s", "o")}
-    assert tols == {"c": 1e-4, "s": 1e-6, "o": 1e-6}
+    assert tols == {"c": 1e-4, "s": 1e-3, "o": 1e-3}
+
+
+def test_inner_loop_default_stops_by_tol(tmp_path):
+    gen = tmp_path / "g"
+    run("gen", "--preset", "union-nonlinear", "--missing", 0.3, "--seed", 1,
+        "--out", gen)
+    data = ("--data", gen / "data.csv", "--mask", gen / "mask.csv",
+            "--passes", 2)
+    assert run("stream", *data, "--out", tmp_path / "s") == 0
+    assert run("stream", *data, "--tol", 1e-6, "--out", tmp_path / "old") == 0
+    assert run("ose", "--model", tmp_path / "s" / "model.ckpt", "--input",
+               gen / "data.csv", "--mask", gen / "mask.csv",
+               "--out", tmp_path / "o") == 0
+    stream, old, ose = (load_report(tmp_path / name)
+                        for name in ("s", "old", "o"))
+    # 600 stream visits, 300 ose columns: the default stops nearly all of
+    # them by tol before the n_iter cap
+    assert stream["samples_hit_iter_limit"] < 60
+    assert ose["samples_hit_iter_limit"] < 30
+    # the earlier default still runs into the cap almost every visit
+    assert old["samples_hit_iter_limit"] >= 590
 
 
 def test_complete_default_stops_by_tol(tmp_path):

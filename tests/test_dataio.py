@@ -19,6 +19,19 @@ def test_matrix_roundtrip_exact(tmp_path, rng):
     assert np.array_equal(Y[finite], X[finite])
 
 
+def test_matrix_write_bytes(tmp_path):
+    # a non-finite value is written as NaN, -0.0 as -0, the rest in %.17g
+    X = np.array([[0.1, np.nan, -0.0],
+                  [np.inf, -np.inf, 1 / 3],
+                  [1e300, 5e-324, -2.5]])
+    path = tmp_path / "x.csv"
+    write_matrix_csv(path, X)
+    assert path.read_bytes() == (
+        b"0.10000000000000001,NaN,-0\n"
+        b"NaN,NaN,0.33333333333333331\n"
+        b"1.0000000000000001e+300,4.9406564584124654e-324,-2.5\n")
+
+
 def test_matrix_read_tokens(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("1.5,NaN,2\nnan,,3\n")

@@ -3,8 +3,10 @@
 ``fit``, ``run_stream`` and ``complete_new`` run on small drawn problems
 (shapes, masks and values), with both kernels and both step modes (momentum
 and guarded); every observed entry must come back with the same bits.
-Stopping ``fit`` by ``tol`` only cuts the run short: a run that stops by
-``tol`` has the bits of the run that spends a budget of exactly its sweeps.
+Stopping by ``tol`` only cuts the run short: a ``fit`` that stops by
+``tol`` has the bits of the run that spends a budget of exactly its sweeps,
+and so has each column of ``complete_new`` with a budget of exactly its
+inner iterations.
 """
 from dataclasses import replace
 
@@ -83,3 +85,21 @@ def test_fit_stopping_by_tol_only_cuts_the_run_short(problem):
     for name in ("completed", "dictionary", "codes", "objective_trace"):
         assert np.array_equal(getattr(model, name), getattr(budget, name),
                               equal_nan=True), name
+
+
+@SETTINGS
+@given(problems(), st.integers(0, 2**32 - 1))
+def test_complete_new_stopping_by_tol_only_cuts_the_run_short(problem, seed):
+    values, observed, spec, eta = problem
+    D = np.random.default_rng(seed).standard_normal((values.shape[0], 3))
+    samples = _samples(values, observed)
+    out, infos = complete_new(D, samples, spec, 0.1, n_iter=60, eta=eta,
+                              tol=1e-2, return_info=True)
+    for j, info in enumerate(infos):
+        # a column with nothing missing runs no iteration and never moves
+        alone, (budget,) = complete_new(
+            D, samples[j:j + 1], spec, 0.1, n_iter=max(info.iterations, 1),
+            eta=eta, tol=0.0, return_info=True)
+        assert np.array_equal(out[:, j], alone[:, 0]), j
+        assert budget.iterations == info.iterations
+        assert budget.objective == info.objective
