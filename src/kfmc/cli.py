@@ -185,16 +185,6 @@ def _inner_loop_report(iterations: int, hit_limit: int, samples: int) -> dict:
             "samples_hit_iter_limit": hit_limit}
 
 
-def _complete_frozen(args, D, spec, beta, samples):
-    """Completion against a frozen dictionary, plus its inner-loop report keys."""
-    X_hat, infos = complete_new(D, samples, spec, beta, n_iter=args.n_iter,
-                                eta=args.eta, tau=args.tau, tol=args.tol,
-                                return_info=True)
-    return X_hat, _inner_loop_report(sum(i.iterations for i in infos),
-                                     sum(i.hit_iter_limit for i in infos),
-                                     len(infos))
-
-
 def _write_trace(out, index, **columns) -> None:
     """Write trace.csv: a 1-based ``index`` column, then the named columns."""
     columns = {name: np.asarray(values) for name, values in columns.items()}
@@ -296,42 +286,33 @@ def cmd_stream(args) -> int:
         # the count carries over; the inner-loop totals are this run's
         model = OnlineModel(D0)
         model.samples_seen = seen
-    elif args.passes < 1:
-        raise ValueError("--passes 0 requires --resume (a trained model)")
     else:
         spec = _kernel_from_args(args, args.kernel or "rbf", data, mask)
         beta = _beta(args, spec)
         r = args.r if args.r is not None else _default_r(spec, m)
-
-    if args.passes == 0:
-        X_hat, inner_loops = _complete_frozen(args, model.dictionary, spec,
-                                              beta, samples)
-    else:
-        hp = OnlineHyperparams(r=r, alpha=args.alpha, beta=beta, tau=args.tau,
-                               eta=args.eta, n_iter=args.n_iter,
-                               n_pass=args.passes, tol=args.tol,
-                               seed=args.seed)
-        try:
-            X_hat, model = run_stream(samples, spec, hp, ground_truth=truth,
-                                      model=model)
-        except NumericalError as exc:
-            # run_stream hands over the model it was updating
-            _write_trace(out, "t", empirical_cost=exc.model.cost_trace,
-                         empirical_error=exc.model.err_trace)
-            raise
-        inner_loops = _inner_loop_report(model.inner_iterations,
-                                         model.samples_hit_iter_limit,
-                                         n * args.passes)
-
+    # after the checkpoint is read, so that a bad one is named first
+    if args.passes < 1:
+        raise ValueError("--passes must be >= 1; to complete columns against "
+                         "a frozen checkpoint, run kfmc ose --model CKPT")
+    hp = OnlineHyperparams(r=r, alpha=args.alpha, beta=beta, tau=args.tau,
+                           eta=args.eta, n_iter=args.n_iter,
+                           n_pass=args.passes, tol=args.tol, seed=args.seed)
+    try:
+        X_hat, model = run_stream(samples, spec, hp, ground_truth=truth,
+                                  model=model)
+    except NumericalError as exc:
+        # run_stream hands over the model it was updating
+        _write_trace(out, "t", empirical_cost=exc.model.cost_trace,
+                     empirical_error=exc.model.err_trace)
+        raise
+    keys = ("r", "alpha", "beta", "tau", "eta", "n_iter", "n_pass", "tol")
     _finish(args, out, start, X_hat, mask, truth, {
         "method": f"ol-kfmc-{spec.kind}",
         "kernel": kernel_to_dict(spec),
-        "hyperparameters": {"r": int(model.dictionary.shape[1]),
-                            "alpha": args.alpha, "beta": beta, "tau": args.tau,
-                            "eta": args.eta, "n_iter": args.n_iter,
-                            "n_pass": args.passes, "tol": args.tol},
+        "hyperparameters": {k: getattr(hp, k) for k in keys},
         "iterations": model.samples_seen,
-        **inner_loops,
+        **_inner_loop_report(model.inner_iterations,
+                             model.samples_hit_iter_limit, n * args.passes),
     })
     _write_trace(out, "t", empirical_cost=model.cost_trace,
                  empirical_error=model.err_trace)
@@ -372,13 +353,18 @@ def cmd_ose(args) -> int:
         if not args.model:
             raise ValueError("either --model or --baseline ose-lrf is required")
         D, spec, beta, _ = _load_model(args, args.model, m)
-        X_hat, inner_loops = _complete_frozen(args, D, spec, beta, samples)
+        X_hat, infos = complete_new(D, samples, spec, beta, n_iter=args.n_iter,
+                                    eta=args.eta, tau=args.tau, tol=args.tol,
+                                    return_info=True)
         payload = {"method": f"ose-kfmc-{spec.kind}",
                    "kernel": kernel_to_dict(spec),
                    "hyperparameters": {"beta": beta, "n_iter": args.n_iter,
                                        "eta": args.eta, "tau": args.tau,
                                        "tol": args.tol, "r": int(D.shape[1])},
-                   "iterations": n, **inner_loops}
+                   "iterations": n,
+                   **_inner_loop_report(sum(i.iterations for i in infos),
+                                        sum(i.hit_iter_limit for i in infos),
+                                        n)}
     _finish(args, out, start, X_hat, mask, truth, payload)
     print(f"completed {n} new columns; report in {out}")
     return 0
@@ -403,8 +389,8 @@ def _add_run_flags(p):
     p.add_argument("--beta", type=float, default=None,
                    help="default: the checkpoint's beta when one is read, "
                         "else 1e-4 (rbf) or 0.1 (poly)")
-    p.add_argument("--tau", type=float, default=2.0)
-    p.add_argument("--eta", type=float, default=0.5)
+    p.add_argument("--tau", type=float, default=OnlineHyperparams.tau)
+    p.add_argument("--eta", type=float, default=OnlineHyperparams.eta)
     p.add_argument("--tol", type=float, default=OnlineHyperparams.tol,
                    help="stop when the relative change falls below this: "
                         "of the objective over one sweep (complete), of a "
@@ -420,7 +406,7 @@ def _add_fit_flags(p):
     p.add_argument("--data", required=True)
     _add_run_flags(p)
     p.add_argument("--r", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=0.1)
+    p.add_argument("--alpha", type=float, default=OnlineHyperparams.alpha)
     p.add_argument("--degree", type=int, default=2)
     p.add_argument("--offset", type=float, default=1.0)
     p.add_argument("--sigma", type=float, default=None)
@@ -454,11 +440,13 @@ def build_parser() -> argparse.ArgumentParser:
                    default="kfmc-rbf")
     c.add_argument("--grid", action="store_true",
                    help="sweep the default hyperparameter grid, keep best RE")
-    c.add_argument("--t-max", type=int, default=500)
+    c.add_argument("--t-max", type=int, default=OfflineHyperparams.t_max)
     c.add_argument("--rank", type=int, default=None, help="lrf rank")
     c.add_argument("--ridge", type=float, default=1e-4, help="lrf ridge")
     c.add_argument("--iters", type=int, default=100, help="lrf sweeps")
-    c.set_defaults(func=cmd_complete, tol=OfflineHyperparams.tol)
+    c.set_defaults(func=cmd_complete, alpha=OfflineHyperparams.alpha,
+                   tau=OfflineHyperparams.tau, eta=OfflineHyperparams.eta,
+                   tol=OfflineHyperparams.tol)
 
     s = sub.add_parser("stream", help="online completion, column by column")
     _add_fit_flags(s)

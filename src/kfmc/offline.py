@@ -280,17 +280,18 @@ def completion_step(spec: KernelSpec, X: np.ndarray, D: np.ndarray,
     return step
 
 
-def fit(mm: MaskedMatrix, spec: KernelSpec, hp: OfflineHyperparams,
-        update_completion: bool = True) -> OfflineModel:
+def fit(mm: MaskedMatrix, spec: KernelSpec,
+        hp: OfflineHyperparams) -> OfflineModel:
     """Run the batch solver and return the completed model.
 
     Each sweep solves the codes in closed form, then moves the dictionary
-    and (unless ``update_completion`` is False, for fully observed training
-    data) the completion by -mom, ``mom = eta * mom + step`` for the relaxed
-    Newton step, to a trial point whose kernels the state keeps.  Guarded
-    runs (eta = 0) also evaluate the trial's objective and, if it rises,
-    move half as far; with momentum, transient rises help the iteration
-    escape poor joint configurations.  ``stop_reason`` is "tol" once a
+    and the completion by -mom, ``mom = eta * mom + step`` for the relaxed
+    Newton step, to a trial point whose kernels the state keeps.  The
+    completion update is skipped when no entry is missing: its trial point
+    would be X itself, so skipping it saves a kernel and changes no bit.
+    Guarded runs (eta = 0) also evaluate the trial's objective and, if it
+    rises, move half as far; with momentum, transient rises help the
+    iteration escape poor joint configurations.  ``stop_reason`` is "tol" once a
     sweep changes the objective by less than ``hp.tol`` relative to the
     previous sweep (``converged``), else "t_max"; "diverged" if the last
     objective ends above the first.  Stopping by ``tol`` only cuts the run
@@ -305,6 +306,7 @@ def fit(mm: MaskedMatrix, spec: KernelSpec, hp: OfflineHyperparams,
     mom_X = np.zeros((m, n))
     X = mm.completion.copy()
     obs = mm.mask.observed
+    has_missing = not obs.all()
     trace: list[float] = []
     Z = np.zeros((hp.r, n))
     stop_reason = "t_max"
@@ -351,7 +353,7 @@ def fit(mm: MaskedMatrix, spec: KernelSpec, hp: OfflineHyperparams,
                 raise NumericalError("dictionary update diverged")
             D = D_try
 
-            if update_completion:
+            if has_missing:
                 mom_X = hp.eta * mom_X + completion_step(spec, X, D, Z, hp.tau,
                                                          kernels)
                 X_try, _, kernels, current = move(trial_X, mom_X, current)

@@ -37,14 +37,14 @@ def train_dictionary(X_train: np.ndarray, spec: KernelSpec,
                      hp: OfflineHyperparams) -> np.ndarray:
     """Learn a dictionary from fully observed training data.
 
-    Runs the batch solver with the completion update skipped (the data is
-    already complete, so only the code and dictionary updates are needed).
+    Runs the batch solver, which skips the completion update when no entry
+    is missing, so only the code and dictionary updates run.
     """
     X_train = np.asarray(X_train, dtype=float)
     if not np.all(np.isfinite(X_train)):
         raise ValueError("training data must be fully observed")
     mm = impute_init(X_train, Mask.full(*X_train.shape), strategy="zero")
-    model = fit(mm, spec, hp, update_completion=False)
+    model = fit(mm, spec, hp)
     return model.dictionary
 
 

@@ -6,6 +6,8 @@ import pytest
 from kfmc.checkpoint import load_checkpoint, save_checkpoint
 from kfmc.cli import main
 from kfmc.dataio import read_json, read_mask_csv, read_matrix_csv
+from kfmc.offline import OfflineHyperparams
+from kfmc.online import OnlineHyperparams
 
 
 def run(*argv):
@@ -161,13 +163,13 @@ def test_stream_and_resume_roundtrip(union_dir, tmp_path):
     assert trace[0] == "t,empirical_cost,empirical_error"
     assert len(trace) == 1 + 2 * 100
 
-    # reload + zero additional passes completes deterministically
+    # completing against the reloaded checkpoint is deterministic
     outs = []
     for name in ("r1", "r2"):
         o = tmp_path / name
-        assert run("stream", "--data", union_dir / "data.csv",
-                   "--mask", union_dir / "mask.csv", "--passes", 0,
-                   "--resume", out1 / "model.ckpt", "--n-iter", 15,
+        assert run("ose", "--model", out1 / "model.ckpt",
+                   "--input", union_dir / "data.csv",
+                   "--mask", union_dir / "mask.csv", "--n-iter", 15,
                    "--seed", 4, "--out", o) == 0
         outs.append((o / "completed.csv").read_bytes())
     assert outs[0] == outs[1]
@@ -177,6 +179,17 @@ def test_stream_passes_zero_without_resume_fails(union_dir, tmp_path):
     assert run("stream", "--data", union_dir / "data.csv",
                "--mask", union_dir / "mask.csv", "--passes", 0,
                "--out", tmp_path / "x") == 2
+
+
+def test_stream_passes_zero_points_to_ose(union_dir, trained_model, tmp_path,
+                                          capsys):
+    # ose is the one way to complete against a frozen checkpoint
+    out = tmp_path / "p0"
+    assert run("stream", "--data", union_dir / "data.csv",
+               "--mask", union_dir / "mask.csv", "--passes", 0,
+               "--resume", trained_model, "--out", out) == 2
+    assert "kfmc ose" in capsys.readouterr().err
+    assert not (out / "completed.csv").exists()
 
 
 def test_stream_resume_kernel_mismatch(union_dir, tmp_path):
@@ -206,25 +219,19 @@ def test_ose_from_checkpoint(union_dir, tmp_path):
     assert load_report(out)["relative_error"] is not None
 
 
-def test_ose_and_zero_pass_stream_report_inner_loops(union_dir, tmp_path):
+def test_ose_reports_inner_loops(union_dir, tmp_path):
     train_out = tmp_path / "train"
     run("stream", "--data", union_dir / "data.csv",
         "--mask", union_dir / "mask.csv", "--passes", 1, "--r", 10,
         "--n-iter", 5, "--seed", 0, "--out", train_out)
-    data = ("--mask", union_dir / "mask.csv", "--n-iter", 15, "--seed", 0)
     assert run("ose", "--model", train_out / "model.ckpt",
-               "--input", union_dir / "data.csv", *data,
+               "--input", union_dir / "data.csv",
+               "--mask", union_dir / "mask.csv", "--n-iter", 15, "--seed", 0,
                "--out", tmp_path / "ose") == 0
-    assert run("stream", "--data", union_dir / "data.csv", "--passes", 0,
-               "--resume", train_out / "model.ckpt", *data,
-               "--out", tmp_path / "p0") == 0
-    reports = [load_report(tmp_path / name) for name in ("ose", "p0")]
-    for report in reports:
-        assert 0 < report["mean_inner_iterations"] <= 15
-        assert isinstance(report["samples_hit_iter_limit"], int)
-        assert 0 <= report["samples_hit_iter_limit"] <= 100
-    keys = ("mean_inner_iterations", "samples_hit_iter_limit")
-    assert [reports[0][k] for k in keys] == [reports[1][k] for k in keys]
+    report = load_report(tmp_path / "ose")
+    assert 0 < report["mean_inner_iterations"] <= 15
+    assert isinstance(report["samples_hit_iter_limit"], int)
+    assert 0 <= report["samples_hit_iter_limit"] <= 100
 
 
 def test_ose_shape_mismatch_exit_2(union_dir, tmp_path, rng):
@@ -360,14 +367,21 @@ def trained_model(union_dir, tmp_path_factory):
     return out / "model.ckpt"
 
 
-def _frozen_runs(union_dir, tmp_path, ckpt):
-    """ose --model and stream --passes 0 --resume on the same checkpoint."""
+def _checkpoint_runs(union_dir, tmp_path, ckpt):
+    """ose --model and stream --resume --passes 1 on the same checkpoint."""
     data = ("--mask", union_dir / "mask.csv", "--n-iter", 10, "--seed", 0)
     assert run("ose", "--model", ckpt, "--input", union_dir / "data.csv",
                *data, "--out", tmp_path / "ose") == 0
-    assert run("stream", "--data", union_dir / "data.csv", "--passes", 0,
-               "--resume", ckpt, *data, "--out", tmp_path / "p0") == 0
-    return tmp_path / "ose", tmp_path / "p0"
+    assert run("stream", "--data", union_dir / "data.csv", "--passes", 1,
+               "--resume", ckpt, *data, "--out", tmp_path / "p1") == 0
+    return tmp_path / "ose", tmp_path / "p1"
+
+
+def _stream_from_checkpoint(command, ckpt, data):
+    """stream --resume ckpt with --passes 0 (refused once ckpt is read) for
+    ``stream-passes-0``, else with --passes 1."""
+    return ("stream", "--resume", ckpt, "--data", data, "--passes",
+            0 if command == "stream-passes-0" else 1)
 
 
 @pytest.mark.parametrize("flags", [("--tau", 0.5), ("--tau", 0),
@@ -375,17 +389,20 @@ def _frozen_runs(union_dir, tmp_path, ckpt):
                                    ("--n-iter", 0)],
                          ids=["tau-0.5", "tau-0", "eta-1.5", "eta-neg",
                               "n-iter-0"])
-@pytest.mark.parametrize("command", ["ose", "stream-passes-0"])
+@pytest.mark.parametrize("command", ["ose", "stream-passes-0",
+                                     "stream-resume"])
 def test_frozen_runs_reject_bad_solver_settings_exit_2(
-        union_dir, trained_model, tmp_path, command, flags):
+        union_dir, trained_model, tmp_path, capsys, command, flags):
     data = ("--mask", union_dir / "mask.csv", *flags, "--out", tmp_path / "o")
     if command == "ose":
         argv = ("ose", "--model", trained_model, "--input",
                 union_dir / "data.csv", *data)
     else:
-        argv = ("stream", "--passes", 0, "--resume", trained_model,
-                "--data", union_dir / "data.csv", *data)
+        argv = (*_stream_from_checkpoint(command, trained_model,
+                                         union_dir / "data.csv"), *data)
     assert run(*argv) == 2
+    if command == "stream-passes-0":
+        assert "kfmc ose" in capsys.readouterr().err
     assert not (tmp_path / "o" / "completed.csv").exists()
 
 
@@ -393,9 +410,11 @@ def test_frozen_runs_reject_bad_solver_settings_exit_2(
     ("ose", ("--beta=-1e-6",)), ("ose", ("--beta", -1)),
     ("stream-passes-0", ("--beta=-1e-6",)),
     ("stream-passes-1", ("--beta=-1e-6",)),
-    ("complete", ("--beta=-1e-6",)), ("ose", ()), ("stream-passes-0", ())],
+    ("complete", ("--beta=-1e-6",)), ("ose", ()), ("stream-passes-0", ()),
+    ("stream-resume", ())],
     ids=["ose", "ose-beta-space-1", "stream-passes-0", "stream-passes-1",
-         "complete", "ose-checkpoint-beta", "stream-passes-0-checkpoint-beta"])
+         "complete", "ose-checkpoint-beta", "stream-passes-0-checkpoint-beta",
+         "stream-resume-checkpoint-beta"])
 def test_negative_beta_exits_2_naming_beta(union_dir, trained_model, tmp_path,
                                            capsys, command, flags):
     ckpt = trained_model
@@ -408,10 +427,10 @@ def test_negative_beta_exits_2_naming_beta(union_dir, trained_model, tmp_path,
         argv = ("ose", "--model", ckpt, "--input", union_dir / "data.csv")
     elif command == "complete":
         argv = ("complete", "--data", union_dir / "data.csv")
+    elif command == "stream-passes-1":
+        argv = ("stream", "--data", union_dir / "data.csv", "--passes", 1)
     else:
-        resume = ("--resume", ckpt) if command.endswith("0") else ()
-        argv = ("stream", "--data", union_dir / "data.csv", "--passes",
-                command[-1], *resume)
+        argv = _stream_from_checkpoint(command, ckpt, union_dir / "data.csv")
     assert run(*argv, *data) == 2
     assert "--beta" in capsys.readouterr().err
     assert not (tmp_path / "o" / "completed.csv").exists()
@@ -423,10 +442,8 @@ def test_resume_takes_beta_from_checkpoint(union_dir, tmp_path):
                "--mask", union_dir / "mask.csv", "--kernel", "rbf",
                "--passes", 1, "--r", 10, "--beta", 1e-2, "--n-iter", 5,
                "--seed", 0, "--out", train) == 0
-    ose, p0 = _frozen_runs(union_dir, tmp_path, train / "model.ckpt")
-    assert (ose / "completed.csv").read_bytes() == \
-        (p0 / "completed.csv").read_bytes()
-    betas = [load_report(o)["hyperparameters"]["beta"] for o in (ose, p0)]
+    ose, p1 = _checkpoint_runs(union_dir, tmp_path, train / "model.ckpt")
+    betas = [load_report(o)["hyperparameters"]["beta"] for o in (ose, p1)]
     assert betas == [0.01, 0.01]
 
 
@@ -436,15 +453,10 @@ def test_stream_resume_takes_kernel_from_checkpoint(union_dir, tmp_path):
                "--mask", union_dir / "mask.csv", "--kernel", "poly",
                "--passes", 1, "--r", 10, "--n-iter", 5, "--seed", 0,
                "--out", train) == 0
-    ose, p0 = _frozen_runs(union_dir, tmp_path, train / "model.ckpt")
-    assert (ose / "completed.csv").read_bytes() == \
-        (p0 / "completed.csv").read_bytes()
-    assert load_report(p0)["kernel"]["kind"] == "poly"
-    assert run("stream", "--data", union_dir / "data.csv",
-               "--mask", union_dir / "mask.csv", "--passes", 1,
-               "--resume", train / "model.ckpt", "--n-iter", 5,
-               "--out", tmp_path / "p1") == 0
-    assert load_report(tmp_path / "p1")["method"] == "ol-kfmc-poly"
+    ose, p1 = _checkpoint_runs(union_dir, tmp_path, train / "model.ckpt")
+    assert [load_report(o)["kernel"]["kind"] for o in (ose, p1)] == \
+        ["poly", "poly"]
+    assert load_report(p1)["method"] == "ol-kfmc-poly"
 
 
 def test_ose_truth_shape_mismatch_exit_2(union_dir, trained_model, tmp_path,
@@ -557,8 +569,7 @@ def test_malformed_checkpoint_exits_2_naming_file(
     if command == "ose":
         argv = ("ose", "--model", ckpt, "--input", union_dir / "data.csv")
     else:
-        argv = ("stream", "--resume", ckpt, "--data", union_dir / "data.csv",
-                "--passes", 0 if command == "stream-passes-0" else 1)
+        argv = _stream_from_checkpoint(command, ckpt, union_dir / "data.csv")
     assert run(*argv, *data) == 2
     err = capsys.readouterr().err
     assert str(ckpt) in err and message in err
@@ -580,9 +591,6 @@ def test_resumed_stream_carries_samples_seen(union_dir, tmp_path):
     # the inner-loop keys describe this run's 200 visits, all at the cap of 3
     assert report["mean_inner_iterations"] == 3.0
     assert report["samples_hit_iter_limit"] == 200
-    assert run("stream", *files, "--passes", 0, "--resume",
-               tmp_path / "s2" / "model.ckpt", "--out", tmp_path / "p0") == 0
-    assert load_report(tmp_path / "p0")["iterations"] == 600
 
 
 def test_resume_without_samples_seen_starts_at_zero(union_dir, trained_model,
@@ -610,16 +618,23 @@ def test_tol_defaults_per_command(union_dir, trained_model, tmp_path):
     # complete stops on the objective per sweep; stream and ose stop each
     # column's inner loop, which has its own default
     assert run("complete", "--data", union_dir / "data.csv", "--mask",
-               union_dir / "mask.csv", "--r", 10, "--t-max", 5,
-               "--out", tmp_path / "c") == 0
+               union_dir / "mask.csv", "--r", 10, "--out", tmp_path / "c") == 0
     data = ("--mask", union_dir / "mask.csv", "--n-iter", 3)
     assert run("stream", "--data", union_dir / "data.csv", "--r", 10, *data,
                "--out", tmp_path / "s") == 0
     assert run("ose", "--model", trained_model, "--input",
                union_dir / "data.csv", *data, "--out", tmp_path / "o") == 0
-    tols = {out: load_report(tmp_path / out)["hyperparameters"]["tol"]
-            for out in ("c", "s", "o")}
-    assert tols == {"c": 1e-4, "s": 1e-3, "o": 1e-3}
+    hps = {out: load_report(tmp_path / out)["hyperparameters"]
+           for out in ("c", "s", "o")}
+    assert {out: hp["tol"] for out, hp in hps.items()} == \
+        {"c": 1e-4, "s": 1e-3, "o": 1e-3}
+    # the other defaults are those of each command's settings class
+    for out, cls, keys in [
+            ("c", OfflineHyperparams, ("tau", "eta", "alpha", "t_max")),
+            ("s", OnlineHyperparams, ("tau", "eta", "alpha")),
+            ("o", OnlineHyperparams, ("tau", "eta"))]:
+        assert {k: hps[out][k] for k in keys} == \
+            {k: getattr(cls, k) for k in keys}, out
 
 
 def test_inner_loop_default_stops_by_tol(tmp_path):

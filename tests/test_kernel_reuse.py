@@ -7,7 +7,7 @@ on the spot.
 import numpy as np
 import pytest
 
-from kfmc import (KernelSpec, OfflineHyperparams, OnlineHyperparams,
+from kfmc import (KernelSpec, Mask, OfflineHyperparams, OnlineHyperparams,
                   OnlineModel, SyntheticSpec, complete_sample, fit, generate,
                   impute_init, random_mask)
 from kfmc import offline, online
@@ -48,36 +48,46 @@ def _problem(seed=3):
     return impute_init(X, random_mask(12, 40, 0.3, seed=seed + 1))
 
 
-@pytest.mark.parametrize("update_completion", [True, False])
+def _fit_counting(count_kernels, mm, eta):
+    """Kernels built per sweep by fit on mm (from runs of 1 and 6 sweeps),
+    and the 6-sweep model."""
+    spec = KernelSpec.rbf(2.0)
+    counts = {}
+    for t_max in (1, 6):
+        count_kernels.clear()
+        hp = OfflineHyperparams(r=8, eta=eta, t_max=t_max, tol=0.0)
+        model = fit(mm, spec, hp)
+        assert model.iterations == t_max
+        counts[t_max] = len(count_kernels)
+    return (counts[6] - counts[1]) / 5, model
+
+
+def _full(mm):
+    """The data of mm with every entry observed."""
+    return impute_init(mm.completion, Mask.full(*mm.shape))
+
+
+@pytest.mark.parametrize("partial_mask", [True, False])
 def test_momentum_fit_builds_at_most_three_kernels_per_sweep(
-        count_kernels, update_completion):
-    mm = _problem()
-    spec = KernelSpec.rbf(2.0)
-    counts = {}
-    for t_max in (1, 6):
-        count_kernels.clear()
-        hp = OfflineHyperparams(r=8, eta=0.5, t_max=t_max, tol=0.0)
-        model = fit(mm, spec, hp, update_completion=update_completion)
-        assert model.iterations == t_max
-        counts[t_max] = len(count_kernels)
-    assert (counts[6] - counts[1]) / 5 <= 3
+        count_kernels, partial_mask):
+    mm = _problem() if partial_mask else _full(_problem())
+    per_sweep, model = _fit_counting(count_kernels, mm, eta=0.5)
+    # a full mask skips the completion update and its kernel
+    assert per_sweep <= (3 if partial_mask else 2)
+    if not partial_mask:
+        assert np.array_equal(model.completed, mm.completion)
 
 
-@pytest.mark.parametrize("update_completion", [True, False])
+@pytest.mark.parametrize("partial_mask", [True, False])
 def test_guarded_fit_builds_at_most_six_kernels_per_sweep(
-        count_kernels, update_completion):
+        count_kernels, partial_mask):
     # 3 per sweep, plus 2 for a retried dictionary step and 1 for a retried
-    # completion step
-    mm = _problem()
-    spec = KernelSpec.rbf(2.0)
-    counts = {}
-    for t_max in (1, 6):
-        count_kernels.clear()
-        hp = OfflineHyperparams(r=8, eta=0.0, t_max=t_max, tol=0.0)
-        model = fit(mm, spec, hp, update_completion=update_completion)
-        assert model.iterations == t_max
-        counts[t_max] = len(count_kernels)
-    assert (counts[6] - counts[1]) / 5 <= 6
+    # completion step; a full mask has no completion step
+    mm = _problem() if partial_mask else _full(_problem())
+    per_sweep, model = _fit_counting(count_kernels, mm, eta=0.0)
+    assert per_sweep <= (6 if partial_mask else 4)
+    if not partial_mask:
+        assert np.array_equal(model.completed, mm.completion)
 
 
 def test_guarded_sample_builds_at_most_two_kernels_per_iteration(

@@ -28,7 +28,7 @@ def test_train_dictionary_trace_monotone(rng):
     hp = OfflineHyperparams(r=10, alpha=0.1, beta=1e-3, eta=0.0, t_max=50,
                             tol=0.0, seed=0)
     mm = impute_init(X, Mask.full(*X.shape))
-    model = fit(mm, spec, hp, update_completion=False)
+    model = fit(mm, spec, hp)
     tr = model.objective_trace
     assert np.all(np.diff(tr) <= 1e-9 * np.maximum(np.abs(tr[:-1]), 1e-30))
     assert np.array_equal(model.completed, X)
