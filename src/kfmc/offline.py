@@ -14,8 +14,9 @@ to every consumer through its optional ``kernels`` argument.
 All three solvers (batch, streaming and out-of-sample) share this module's
 algebra.  Codes come from one operator, S = (K_DD + beta I)^-1, built by
 :func:`_solve_operator` from a Cholesky factor and applied as one product
-(LAPACK potrs on the factor runs about 6x slower).  The objective sums
-:func:`_column_objective` over the columns; the completion update is the
+(LAPACK potrs on the factor runs about 6x slower).  A column's objective
+is its x part, :func:`_column_fit`, plus the code-only terms of
+:func:`_code_terms`, summed in that order; the completion update is the
 column-wise :func:`_sample_step`, a column's gradient over the curvature of
 its frozen-weight model.  For poly both carry the factor q = degree, which
 cancels.  RBF divides by the curvature's magnitude, so it descends even
@@ -95,6 +96,7 @@ class OfflineModel:
     iterations: int = 0
     converged: bool = False
     stop_reason: str = "t_max"  # see :func:`fit`; "numerical" if it raised
+    backoffs: int = 0  # guarded sweeps whose moves were halved (eta = 0)
 
     @property
     def completed(self) -> np.ndarray:
@@ -122,15 +124,14 @@ def _code_terms(Z: np.ndarray, K_DD: np.ndarray, alpha: float, beta: float,
             0.5 * beta * np.add.reduce(Z * Z, axis=-2))
 
 
-def _column_objective(spec: KernelSpec, X: np.ndarray, Z: np.ndarray,
-                      K: np.ndarray, terms) -> np.ndarray:
-    """Per-column objective of the columns X (m, b) with codes Z (r, b),
-    K = k(D, X) (r, b) and the code-only ``terms`` of :func:`_code_terms`;
-    on a stack of blocks, one value per column of each block (nb, b)."""
-    quad, reg, ridge = terms
+def _column_fit(spec: KernelSpec, X: np.ndarray, Z: np.ndarray,
+                K: np.ndarray) -> np.ndarray:
+    """The x part 0.5 k(x, x) - k(D, x)'z of the per-column objective of
+    the columns X (m, b) with codes Z (r, b) and K = k(D, X) (r, b); on a
+    stack of blocks, one value per column of each block (nb, b)."""
     # k(x, x) = 1 for RBF
     self_term = 0.5 * kernel_diag(spec, X) if spec.is_poly else 0.5
-    return self_term - np.add.reduce(K * Z, axis=-2) + quad + reg + ridge
+    return self_term - np.add.reduce(K * Z, axis=-2)
 
 
 def objective(spec: KernelSpec, X: np.ndarray, D: np.ndarray, Z: np.ndarray,
@@ -139,8 +140,8 @@ def objective(spec: KernelSpec, X: np.ndarray, D: np.ndarray, Z: np.ndarray,
     per-column objective without its dictionary term, summed over the
     columns, plus the dictionary term once."""
     K_XD, K_DD = _state_kernels(spec, X, D, kernels)
-    columns = _column_objective(spec, X, Z, K_XD.T,
-                                _code_terms(Z, K_DD, 0.0, beta, 0.0))
+    quad, reg, ridge = _code_terms(Z, K_DD, 0.0, beta, 0.0)
+    columns = _column_fit(spec, X, Z, K_XD.T) + quad + reg + ridge
     return float(columns.sum()) + 0.5 * alpha * _dictionary_reg(spec, D)
 
 
@@ -284,19 +285,22 @@ def fit(mm: MaskedMatrix, spec: KernelSpec,
         hp: OfflineHyperparams) -> OfflineModel:
     """Run the batch solver and return the completed model.
 
-    Each sweep solves the codes in closed form, then moves the dictionary
-    and the completion by -mom, ``mom = eta * mom + step`` for the relaxed
-    Newton step, to a trial point whose kernels the state keeps.  The
-    completion update is skipped when no entry is missing: its trial point
-    would be X itself, so skipping it saves a kernel and changes no bit.
-    Guarded runs (eta = 0) also evaluate the trial's objective and, if it
-    rises, move half as far; with momentum, transient rises help the
-    iteration escape poor joint configurations.  ``stop_reason`` is "tol" once a
-    sweep changes the objective by less than ``hp.tol`` relative to the
-    previous sweep (``converged``), else "t_max"; "diverged" if the last
-    objective ends above the first.  Stopping by ``tol`` only cuts the run
-    short: the result equals that of the same settings with ``t_max`` set
-    to the sweeps run and ``tol = 0``, bit for bit.
+    Each sweep solves the codes in closed form, moves the dictionary and
+    then, at the new dictionary, the completion by -mom, ``mom = eta * mom
+    + step`` for the relaxed Newton step, and evaluates the objective at
+    that end point, whose kernels the state keeps.  With no entry missing
+    the completion update is skipped; it saves a kernel and changes no bit.
+    Guarded runs (eta = 0) back off once if that objective exceeds the
+    previous sweep's (the start's at sweep 1): both moves of the sweep are
+    halved, the steps are not recomputed, and the halved end point is kept;
+    ``backoffs`` counts such sweeps.  With momentum, transient rises help
+    the iteration escape poor joint configurations.  ``stop_reason`` is
+    "tol" once a sweep changes the objective by less than ``hp.tol``
+    relative to the previous sweep (``converged``), else "t_max";
+    "diverged" if the last objective ends above the first.  Stopping by
+    ``tol`` only cuts the run short: the result equals that of the same
+    settings with ``t_max`` set to the sweeps run and ``tol = 0``, bit for
+    bit.
     """
     if mm.mask.n_observed < 1:
         raise ValueError("at least one observed entry is required")
@@ -310,60 +314,49 @@ def fit(mm: MaskedMatrix, spec: KernelSpec,
     trace: list[float] = []
     Z = np.zeros((hp.r, n))
     stop_reason = "t_max"
-    t = 0
+    t = backoffs = 0
 
     def partial_model():
         result = mm.copy()
         result.completion[:] = X
         return OfflineModel(D, Z, result, np.asarray(trace), t,
-                            stop_reason == "tol", stop_reason)
-
-    def trial_D(step):
-        D_try = D - step
-        return X, D_try, _state_kernels(spec, X, D_try)
-
-    def trial_X(step):
-        X_try = np.where(obs, X, X - step)
-        return X_try, D, (kernel_matrix(spec, X_try, D), kernels[1])
-
-    def move(trial, mom, current):
-        """Trial point (X, D, kernels) at -mom and, guarded, its objective,
-        retried at -mom / 2 if that exceeds ``current`` (a NaN does not)."""
-        X_try, D_try, K = trial(mom)
-        if not guarded:
-            return X_try, D_try, K, None
-        after = objective(spec, X_try, D_try, Z, hp.alpha, hp.beta, K)
-        if after > current:
-            X_try, D_try, K = trial(0.5 * mom)
-            after = objective(spec, X_try, D_try, Z, hp.alpha, hp.beta, K)
-        return X_try, D_try, K, after
+                            stop_reason == "tol", stop_reason, backoffs)
 
     guarded = hp.eta == 0.0
     kernels = _state_kernels(spec, X, D)  # of the current (X, D)
     try:
         for t in range(1, hp.t_max + 1):
             Z = solve_codes(spec, X, D, hp.beta, kernels)
-            current = objective(spec, X, D, Z, hp.alpha, hp.beta,
-                                kernels) if guarded else None
-
+            if guarded:  # the previous sweep's objective, or the start's
+                ceiling = trace[-1] if trace else objective(
+                    spec, X, D, Z, hp.alpha, hp.beta, kernels)
             mom_D = hp.eta * mom_D + dictionary_step(spec, X, D, Z, hp.alpha,
                                                      hp.tau, kernels)
-            _, D_try, kernels, current = move(trial_D, mom_D, current)
-            if not np.all(np.isfinite(D_try)):
+            D_new = D - mom_D
+            if not np.all(np.isfinite(D_new)):
                 raise NumericalError("dictionary update diverged")
-            D = D_try
-
+            K_DD = kernel_matrix(spec, D_new, D_new)
+            X_new = X
             if has_missing:
-                mom_X = hp.eta * mom_X + completion_step(spec, X, D, Z, hp.tau,
-                                                         kernels)
-                X_try, _, kernels, current = move(trial_X, mom_X, current)
-                if not np.all(np.isfinite(X_try)):
+                # only the RBF completion step reads K_XD of (X, D_new)
+                K_XD = kernel_matrix(spec, X, D_new) if spec.is_rbf else None
+                mom_X = hp.eta * mom_X + completion_step(
+                    spec, X, D_new, Z, hp.tau, (K_XD, K_DD))
+                X_new = np.where(obs, X, X - mom_X)
+                if not np.all(np.isfinite(X_new)):
                     raise NumericalError("completion update diverged")
-                X = X_try
-
-            # a guarded sweep has evaluated its end point already
-            trace.append(current if guarded else
-                         objective(spec, X, D, Z, hp.alpha, hp.beta, kernels))
+            kernels = (kernel_matrix(spec, X_new, D_new), K_DD)
+            value = objective(spec, X_new, D_new, Z, hp.alpha, hp.beta, kernels)
+            if guarded and value > ceiling:  # a NaN does not back off
+                backoffs += 1
+                D_new = D - 0.5 * mom_D
+                if has_missing:
+                    X_new = np.where(obs, X, X - 0.5 * mom_X)
+                kernels = _state_kernels(spec, X_new, D_new)
+                value = objective(spec, X_new, D_new, Z, hp.alpha, hp.beta,
+                                  kernels)
+            X, D = X_new, D_new
+            trace.append(value)
             if len(trace) >= 2:
                 prev = trace[-2]
                 if abs(trace[-1] - prev) < hp.tol * max(abs(prev), 1e-30):

@@ -19,8 +19,9 @@ position, its block nor its neighbours.  Each
 kernel is evaluated once per state and handed to every consumer: K_DD once
 per dictionary, next to the solve operator, and K(D, X) once per block
 state.  A guarded iteration (eta = 0) therefore costs one kernel, of the
-trial point, plus two objective evaluations that share the code-only terms
-of :func:`_code_terms`; a retried step adds one kernel and one objective.
+trial point, plus two evaluations of the objective's x part
+(:func:`kfmc.offline._column_fit`): the codes and D are shared, so the
+code-only terms cancel.  A retried step adds one kernel and one x part.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from .exceptions import NumericalError
 from .kernels import KernelSpec, column_sq_norms, kernel_matrix
-from .offline import (_check_settings, _code_terms, _column_objective,
+from .offline import (_check_settings, _code_terms, _column_fit,
                       _dictionary_parts, _dictionary_reg, _sample_step,
                       _solve_operator)
 
@@ -75,9 +76,9 @@ class OnlineHyperparams:
 class OnlineModel:
     """Dictionary plus momentum buffer and running diagnostics.
 
-    ``inner_iterations`` and ``samples_hit_iter_limit`` total the inner
-    loops this model ran; checkpoints do not store them.  ``samples_seen``
-    is stored, and a model resumed from a checkpoint counts on from it.
+    ``inner_iterations``, ``samples_hit_iter_limit`` and ``guard_retries``
+    total the inner loops this model ran; checkpoints do not store them.
+    ``samples_seen`` is stored, and a resumed model counts on from it.
     """
 
     def __init__(self, dictionary: np.ndarray):
@@ -86,43 +87,43 @@ class OnlineModel:
         self.samples_seen = 0
         self.inner_iterations = 0
         self.samples_hit_iter_limit = 0
+        self.guard_retries = 0
         self.cost_trace: list[float] = []
         self.err_trace: list[float] = []
 
 
 @dataclass(frozen=True)
 class SampleInfo:
-    """Outcome of one sample's inner loop."""
+    """Outcome of one sample's inner loop; ``retries`` counts the guarded
+    iterations whose step was halved (always 0 with momentum)."""
 
     converged: bool
     hit_iter_limit: bool
     iterations: int
     objective: float
+    retries: int = 0
 
 
 def sample_objective(spec: KernelSpec, x: np.ndarray, z: np.ndarray,
                      D: np.ndarray, alpha: float, beta: float,
-                     k_xD=None, K_DD=None, terms=None):
+                     k_xD=None, K_DD=None):
     """Per-sample objective 0.5||phi(x) - phi(D) z||^2 + regularizers.
 
     ``x`` is one column (m,) with its code ``z`` (r,), giving a float, or a
     block (m, b) with codes (r, b), giving one value per column, or a stack
     of blocks (nb, m, b) with codes (nb, r, b), giving (nb, b) values.
-    ``k_xD`` holds k(D, x), shaped like ``z``.  ``terms`` holds the
-    code-only terms of :func:`_code_terms` for ``z``, shared by every x
-    evaluated against the same codes; the result has the same bits as
-    without it.
+    ``k_xD`` holds k(D, x), shaped like ``z``.
     """
     X = x if x.ndim > 1 else x[:, None]
     Z = z if z.ndim > 1 else z[:, None]
     if k_xD is None:
         k_xD = kernel_matrix(spec, D, X)
     K = k_xD if k_xD.ndim > 1 else k_xD[:, None]
-    if terms is None:
-        if K_DD is None:
-            K_DD = kernel_matrix(spec, D, D)
-        terms = _code_terms(Z, K_DD, alpha, beta, _dictionary_reg(spec, D))
-    obj = _column_objective(spec, X, Z, K, terms)
+    if K_DD is None:
+        K_DD = kernel_matrix(spec, D, D)
+    quad, reg, ridge = _code_terms(Z, K_DD, alpha, beta,
+                                   _dictionary_reg(spec, D))
+    obj = _column_fit(spec, X, Z, K) + quad + reg + ridge
     return obj if x.ndim > 1 else float(obj[0])
 
 
@@ -145,11 +146,13 @@ def _complete_block(spec: KernelSpec, D: np.ndarray, system, X: np.ndarray,
     where ``missing`` is True.
 
     ``system`` comes from :func:`_code_system`; ``X`` is not modified.  A
-    column with nothing missing never moves.  A column stops when its
-    relative change drops below ``tol`` or its guarded step is rejected, and
-    from then on keeps its values and kernel.  Every product runs once per
-    block at shape (.., b) and every reduction runs down the columns, so a
-    block in a stack gets the bits it gets alone.  Returns the block(s), the
+    column with nothing missing never moves.  Guarded (eta = 0), a step
+    that raises the column's objective at the iteration's codes is retried
+    once at half its length and rejected if it still does.  A column stops
+    when its relative change drops below ``tol`` or its step is rejected,
+    and from then on keeps its values and kernel.  Every product runs once
+    per block at shape (.., b) and every reduction runs down the columns, so
+    a block in a stack gets the bits it gets alone.  Returns the block(s), the
     codes and k(D, x) of each column, shaped (r, b) or (nb, r, b), and one
     :class:`SampleInfo` per column, block by block.  Raises
     :class:`NumericalError` naming the first non-finite column in
@@ -159,11 +162,11 @@ def _complete_block(spec: KernelSpec, D: np.ndarray, system, X: np.ndarray,
     """
     K_DD, solve_op, sq_D = system
     guarded = eta == 0.0
-    reg_d = _dictionary_reg(spec, D)
     tol2 = tol * tol
     momentum = np.zeros_like(X)
     done = ~missing.any(axis=-2)
     iterations = np.zeros(done.shape, dtype=int)
+    retries = np.zeros(done.shape, dtype=int)
     K = kernel_matrix(spec, D, X, sq_D)
     for _ in range(n_iter):
         # count_nonzero costs a fraction of .all() / .any() on short arrays
@@ -179,21 +182,16 @@ def _complete_block(spec: KernelSpec, D: np.ndarray, system, X: np.ndarray,
         X_try = np.where(move, X - momentum, X)
         K_try = kernel_matrix(spec, D, X_try, sq_D)
         if guarded:
-            # guarded Newton: a step that raises the per-sample objective is
-            # retried once at doubled relaxation (half the step), then
-            # rejected.  Every objective of this iteration shares Z, and so
-            # its code-only terms.
-            terms = _code_terms(Z, K_DD, alpha, beta, reg_d)
-            before = sample_objective(spec, X, Z, D, alpha, beta, K, K_DD, terms)
-            after = sample_objective(spec, X_try, Z, D, alpha, beta, K_try,
-                                     K_DD, terms)
+            # both objectives share Z and D, so only their x parts differ
+            before = _column_fit(spec, X, Z, K)
+            after = _column_fit(spec, X_try, Z, K_try)
             retry = active & (after > before)
             if np.count_nonzero(retry):
+                retries += retry
                 X_try = np.where(move & retry[..., None, :], X - 0.5 * step,
                                  X_try)
                 K_try = kernel_matrix(spec, D, X_try, sq_D)
-                after = sample_objective(spec, X_try, Z, D, alpha, beta, K_try,
-                                         K_DD, terms)
+                after = _column_fit(spec, X_try, Z, K_try)
                 rejected = retry & (after > before)
                 done |= rejected
                 rejected = rejected[..., None, :]
@@ -209,16 +207,15 @@ def _complete_block(spec: KernelSpec, D: np.ndarray, system, X: np.ndarray,
             tol2 * np.maximum(np.add.reduce(X_miss, axis=-2), 1e-60)
         X, K = X_try, K_try
     Z = solve_op @ K
-    objective = sample_objective(spec, X, Z, D, alpha, beta, K, K_DD,
-                                 _code_terms(Z, K_DD, alpha, beta, reg_d))
+    objective = sample_objective(spec, X, Z, D, alpha, beta, K, K_DD)
     failed = ~(np.isfinite(X).all(axis=-2) & np.isfinite(Z).all(axis=-2)
                & np.isfinite(objective))
     if failed.any():
         raise NumericalError("sample completion produced non-finite values",
                              sample_index=int(np.argmax(failed)))
-    infos = [SampleInfo(c, bool(i >= n_iter), i, o) for c, i, o in
+    infos = [SampleInfo(c, bool(i >= n_iter), i, o, r) for c, i, o, r in
              zip(done.ravel().tolist(), iterations.ravel().tolist(),
-                 objective.ravel().tolist())]
+                 objective.ravel().tolist(), retries.ravel().tolist())]
     return X, Z, K, infos
 
 
@@ -306,7 +303,8 @@ def run_stream(samples, spec: KernelSpec, hp: OnlineHyperparams,
     start.  Tracks the running empirical cost (mean of each sample's most
     recent terminal objective) and, when ground truth is supplied, the
     running mean relative recovery error per visit.  The model totals the
-    inner-loop iterations and the samples that hit ``n_iter``.
+    inner-loop iterations, the samples that hit ``n_iter`` and the guarded
+    retries.
 
     The whole stream is checked before the first update, so a bad sample
     raises ValueError with ``model`` untouched.  A column's missing entries
@@ -341,6 +339,7 @@ def run_stream(samples, spec: KernelSpec, hp: OnlineHyperparams,
             model.samples_seen += 1
             model.inner_iterations += info.iterations
             model.samples_hit_iter_limit += info.hit_iter_limit
+            model.guard_retries += info.retries
             if np.isnan(last_cost[j]):
                 seen += 1
                 cost_sum += info.objective

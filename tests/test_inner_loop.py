@@ -1,10 +1,12 @@
-"""The guarded inner loop shares each code's objective terms.
+"""The guarded inner loop compares objectives without their shared terms.
 
-Every objective of one guarded iteration is evaluated against the same
-codes, so the loop computes their code-only terms once per code solve and
-hands them to :func:`sample_objective`, which must give the same bits as
-without them.  A block that retries and rejects steps must still give each
-column the bits it gets alone.
+Both objectives of one guarded iteration are evaluated against the same
+codes and dictionary, so the loop compares only their x parts
+(:func:`kfmc.offline._column_fit`); the per-column objective is that part
+plus the code-only terms, added in the same order, and
+:func:`sample_objective` must give the same bits with or without the
+kernels it is handed.  A block that retries and rejects steps must still
+give each column the bits it gets alone.
 """
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from kfmc import (KernelSpec, OnlineHyperparams, OnlineModel, complete_new,
                   complete_sample)
 from kfmc import online
 from kfmc.kernels import kernel_diag, kernel_matrix
+from kfmc.offline import _column_fit
 from kfmc.online import _code_terms, _dictionary_reg, sample_objective
 
 SPECS = [KernelSpec.rbf(1.7), KernelSpec.poly(3, 0.5)]
@@ -45,10 +48,17 @@ def test_objective_with_shared_terms_gives_identical_bits(spec, width):
     expected = _reference_objective(spec, X.reshape(5, -1), Z.reshape(4, -1),
                                     D, ALPHA, BETA)
     assert np.array_equal(reference, expected if width else expected[0])
-    for k_xD, K_DD_arg in ((None, None), (K, K_DD)):
-        shared = sample_objective(spec, X, Z, D, ALPHA, BETA, k_xD, K_DD_arg,
-                                  terms)
-        assert np.array_equal(shared, reference)
+    for k_xD, K_DD_arg in ((None, None), (K, K_DD), (K, None)):
+        given = sample_objective(spec, X, Z, D, ALPHA, BETA, k_xD, K_DD_arg)
+        assert np.array_equal(given, reference)
+    # the guard's x part, k(x, x) / 2 - k(D, x)'z, opens the objective's sum
+    # and the shared code-only terms follow it
+    Xb, Zb, Kb = X.reshape(5, -1), Z.reshape(4, -1), K.reshape(4, -1)
+    x_part = _column_fit(spec, Xb, Zb, Kb)
+    assert np.array_equal(
+        x_part, 0.5 * kernel_diag(spec, Xb) - (Kb * Zb).sum(axis=0))
+    quad, reg, ridge = terms
+    assert np.array_equal(x_part + quad + reg + ridge, expected)
     if width is None:
         assert isinstance(reference, float)
 
@@ -71,8 +81,9 @@ def test_guarded_sample_evaluates_code_terms_once_per_code_solve(
     _, _, info = complete_sample(OnlineModel(D), x, np.arange(0, 10, 2),
                                  spec, hp)
     assert info.iterations >= 3
-    # one code solve per iteration, one for the terminal objective
-    assert len(calls) == info.iterations + 1
+    # the guard compares x parts only: the terminal objective is the one
+    # code solve whose code-only terms are evaluated
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("width", [1, 8])
@@ -106,15 +117,7 @@ def _retry_samples(seed):
                                         (KernelSpec.poly(3, 0.5), 4)],
                          ids=["rbf", "poly"])
 def test_guarded_block_with_retries_and_rejections_matches_single_columns(
-        monkeypatch, spec, seed):
-    calls = []
-    real = online.sample_objective
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(online, "sample_objective", counted)
+        spec, seed):
     D, samples = _retry_samples(seed)
     # tau near 1 takes long steps, so some raise the objective; with tol = 0
     # a column stops early only when its step is rejected
@@ -122,11 +125,10 @@ def test_guarded_block_with_retries_and_rejections_matches_single_columns(
     bulk, infos = complete_new(D, samples, spec, 1e-3, **run)
     retried = rejected = 0
     for j, sample in enumerate(samples):
-        calls.clear()
         solo, solo_infos = complete_new(D, [sample], spec, 1e-3, **run)
         assert np.array_equal(solo[:, 0], bulk[:, j])
         assert solo_infos[0] == infos[j]
-        retried += len(calls) - 2 * infos[j].iterations - 1 > 0
+        retried += infos[j].retries > 0
         rejected += infos[j].converged
     assert retried >= 2 and 1 <= rejected < retried
     rev, rev_infos = complete_new(D, samples[::-1], spec, 1e-3, **run)

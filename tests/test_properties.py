@@ -6,7 +6,9 @@ and guarded); every observed entry must come back with the same bits.
 Stopping by ``tol`` only cuts the run short: a ``fit`` that stops by
 ``tol`` has the bits of the run that spends a budget of exactly its sweeps,
 and so has each column of ``complete_new`` with a budget of exactly its
-inner iterations.
+inner iterations.  Guarded ``complete_new`` at any relaxation gives each
+column the same bits and :class:`SampleInfo`, retries included, in any
+column order.
 """
 from dataclasses import replace
 
@@ -19,6 +21,7 @@ from kfmc import (KernelSpec, Mask, OfflineHyperparams, OnlineHyperparams,
                   complete_new, fit, impute_init, run_stream)
 
 SPECS = [KernelSpec.rbf(2.0), KernelSpec.poly(2, 1.0)]
+GUARD_SPECS = [KernelSpec.rbf(2.0), KernelSpec.poly(3, 0.5)]
 SETTINGS = settings(max_examples=50, deadline=None, derandomize=True,
                     database=None)
 
@@ -103,3 +106,25 @@ def test_complete_new_stopping_by_tol_only_cuts_the_run_short(problem, seed):
         assert np.array_equal(out[:, j], alone[:, 0]), j
         assert budget.iterations == info.iterations
         assert budget.objective == info.objective
+
+
+@SETTINGS
+@given(st.integers(4, 9), st.integers(1, 12), st.sampled_from(GUARD_SPECS),
+       st.floats(1.01, 2.0), st.integers(0, 2**32 - 1))
+def test_guarded_complete_new_is_column_wise_in_any_order(m, n, spec, tau,
+                                                          seed):
+    # long steps (tau near 1) and tol = 0 make the guard retry and reject
+    # steps: 28 of the 282 columns drawn, in 9 of the 50 draws, retry
+    rng = np.random.default_rng(seed)
+    D = rng.standard_normal((m, 5))
+    values = 2.0 * rng.standard_normal((m, n))
+    observed = rng.random((m, n)) < 0.6
+    samples = _samples(values, observed)
+    run = dict(n_iter=12, eta=0.0, tau=tau, tol=0.0, return_info=True)
+    out, infos = complete_new(D, samples, spec, 1e-3, **run)
+    assert np.array_equal(out[observed], values[observed])
+    perm = rng.permutation(n)
+    out_p, infos_p = complete_new(D, [samples[j] for j in perm], spec, 1e-3,
+                                  **run)
+    assert np.array_equal(out_p, out[:, perm])
+    assert infos_p == [infos[j] for j in perm]
