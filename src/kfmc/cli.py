@@ -178,12 +178,11 @@ def _load_model(args, path, m):
     return D, spec, _beta(args, spec, metadata, path), seen
 
 
-def _inner_loop_report(iterations: int, hit_limit: int, retries: int,
-                       samples: int) -> dict:
-    """Report keys of the per-sample inner loops: their mean iteration count,
-    how many stopped at --n-iter and how many guarded steps were retried."""
+def _inner_loop_report(iterations: int, hit_limit: int, samples: int) -> dict:
+    """Report keys of the per-sample inner loops: their mean iteration count
+    and how many stopped at --n-iter."""
     return {"mean_inner_iterations": iterations / samples,
-            "samples_hit_iter_limit": hit_limit, "guard_retries": retries}
+            "samples_hit_iter_limit": hit_limit}
 
 
 def _write_trace(out, index, **columns) -> None:
@@ -263,7 +262,6 @@ def cmd_complete(args) -> int:
             "iterations": model.iterations,
             "converged": model.converged,
             "stop_reason": model.stop_reason,
-            "guard_retries": model.backoffs,
             **extra,
         }
     _finish(args, out, start, X_hat, mask, truth, payload)
@@ -314,8 +312,7 @@ def cmd_stream(args) -> int:
         "hyperparameters": {k: getattr(hp, k) for k in keys},
         "iterations": model.samples_seen,
         **_inner_loop_report(model.inner_iterations,
-                             model.samples_hit_iter_limit, model.guard_retries,
-                             n * args.passes),
+                             model.samples_hit_iter_limit, n * args.passes),
     })
     _write_trace(out, "t", empirical_cost=model.cost_trace,
                  empirical_error=model.err_trace)
@@ -367,7 +364,7 @@ def cmd_ose(args) -> int:
                    "iterations": n,
                    **_inner_loop_report(sum(i.iterations for i in infos),
                                         sum(i.hit_iter_limit for i in infos),
-                                        sum(i.retries for i in infos), n)}
+                                        n)}
     _finish(args, out, start, X_hat, mask, truth, payload)
     print(f"completed {n} new columns; report in {out}")
     return 0

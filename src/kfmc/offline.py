@@ -96,7 +96,6 @@ class OfflineModel:
     iterations: int = 0
     converged: bool = False
     stop_reason: str = "t_max"  # see :func:`fit`; "numerical" if it raised
-    backoffs: int = 0  # guarded sweeps whose moves were halved (eta = 0)
 
     @property
     def completed(self) -> np.ndarray:
@@ -290,11 +289,9 @@ def fit(mm: MaskedMatrix, spec: KernelSpec,
     + step`` for the relaxed Newton step, and evaluates the objective at
     that end point, whose kernels the state keeps.  With no entry missing
     the completion update is skipped; it saves a kernel and changes no bit.
-    Guarded runs (eta = 0) back off once if that objective exceeds the
-    previous sweep's (the start's at sweep 1): both moves of the sweep are
-    halved, the steps are not recomputed, and the halved end point is kept;
-    ``backoffs`` counts such sweeps.  With momentum, transient rises help
-    the iteration escape poor joint configurations.  ``stop_reason`` is
+    Every ``eta`` takes this one path: eta = 0 means no momentum, plain
+    relaxed Newton steps.  With momentum, transient rises help the
+    iteration escape poor joint configurations.  ``stop_reason`` is
     "tol" once a sweep changes the objective by less than ``hp.tol``
     relative to the previous sweep (``converged``), else "t_max";
     "diverged" if the last objective ends above the first.  Stopping by
@@ -314,22 +311,18 @@ def fit(mm: MaskedMatrix, spec: KernelSpec,
     trace: list[float] = []
     Z = np.zeros((hp.r, n))
     stop_reason = "t_max"
-    t = backoffs = 0
+    t = 0
 
     def partial_model():
         result = mm.copy()
         result.completion[:] = X
         return OfflineModel(D, Z, result, np.asarray(trace), t,
-                            stop_reason == "tol", stop_reason, backoffs)
+                            stop_reason == "tol", stop_reason)
 
-    guarded = hp.eta == 0.0
     kernels = _state_kernels(spec, X, D)  # of the current (X, D)
     try:
         for t in range(1, hp.t_max + 1):
             Z = solve_codes(spec, X, D, hp.beta, kernels)
-            if guarded:  # the previous sweep's objective, or the start's
-                ceiling = trace[-1] if trace else objective(
-                    spec, X, D, Z, hp.alpha, hp.beta, kernels)
             mom_D = hp.eta * mom_D + dictionary_step(spec, X, D, Z, hp.alpha,
                                                      hp.tau, kernels)
             D_new = D - mom_D
@@ -346,17 +339,8 @@ def fit(mm: MaskedMatrix, spec: KernelSpec,
                 if not np.all(np.isfinite(X_new)):
                     raise NumericalError("completion update diverged")
             kernels = (kernel_matrix(spec, X_new, D_new), K_DD)
-            value = objective(spec, X_new, D_new, Z, hp.alpha, hp.beta, kernels)
-            if guarded and value > ceiling:  # a NaN does not back off
-                backoffs += 1
-                D_new = D - 0.5 * mom_D
-                if has_missing:
-                    X_new = np.where(obs, X, X - 0.5 * mom_X)
-                kernels = _state_kernels(spec, X_new, D_new)
-                value = objective(spec, X_new, D_new, Z, hp.alpha, hp.beta,
-                                  kernels)
             X, D = X_new, D_new
-            trace.append(value)
+            trace.append(objective(spec, X, D, Z, hp.alpha, hp.beta, kernels))
             if len(trace) >= 2:
                 prev = trace[-2]
                 if abs(trace[-1] - prev) < hp.tol * max(abs(prev), 1e-30):

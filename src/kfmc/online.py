@@ -18,10 +18,7 @@ is frozen, so with a fixed b a column's bits depend on neither its
 position, its block nor its neighbours.  Each
 kernel is evaluated once per state and handed to every consumer: K_DD once
 per dictionary, next to the solve operator, and K(D, X) once per block
-state.  A guarded iteration (eta = 0) therefore costs one kernel, of the
-trial point, plus two evaluations of the objective's x part
-(:func:`kfmc.offline._column_fit`): the codes and D are shared, so the
-code-only terms cancel.  A retried step adds one kernel and one x part.
+state, so an iteration costs one kernel, of its new point, whatever eta.
 """
 from __future__ import annotations
 
@@ -76,8 +73,8 @@ class OnlineHyperparams:
 class OnlineModel:
     """Dictionary plus momentum buffer and running diagnostics.
 
-    ``inner_iterations``, ``samples_hit_iter_limit`` and ``guard_retries``
-    total the inner loops this model ran; checkpoints do not store them.
+    ``inner_iterations`` and ``samples_hit_iter_limit`` total the inner
+    loops this model ran; checkpoints do not store them.
     ``samples_seen`` is stored, and a resumed model counts on from it.
     """
 
@@ -87,21 +84,18 @@ class OnlineModel:
         self.samples_seen = 0
         self.inner_iterations = 0
         self.samples_hit_iter_limit = 0
-        self.guard_retries = 0
         self.cost_trace: list[float] = []
         self.err_trace: list[float] = []
 
 
 @dataclass(frozen=True)
 class SampleInfo:
-    """Outcome of one sample's inner loop; ``retries`` counts the guarded
-    iterations whose step was halved (always 0 with momentum)."""
+    """Outcome of one sample's inner loop, stopped by tol or at n_iter."""
 
     converged: bool
     hit_iter_limit: bool
     iterations: int
     objective: float
-    retries: int = 0
 
 
 def sample_objective(spec: KernelSpec, x: np.ndarray, z: np.ndarray,
@@ -146,11 +140,10 @@ def _complete_block(spec: KernelSpec, D: np.ndarray, system, X: np.ndarray,
     where ``missing`` is True.
 
     ``system`` comes from :func:`_code_system`; ``X`` is not modified.  A
-    column with nothing missing never moves.  Guarded (eta = 0), a step
-    that raises the column's objective at the iteration's codes is retried
-    once at half its length and rejected if it still does.  A column stops
-    when its relative change drops below ``tol`` or its step is rejected,
-    and from then on keeps its values and kernel.  Every product runs once
+    column with nothing missing never moves.  Every eta takes the same
+    step; eta = 0 means no momentum.  A column stops when its relative
+    change drops below ``tol``, or after ``n_iter`` iterations, and from
+    then on keeps its values and kernel.  Every product runs once
     per block at shape (.., b) and every reduction runs down the columns, so
     a block in a stack gets the bits it gets alone.  Returns the block(s), the
     codes and k(D, x) of each column, shaped (r, b) or (nb, r, b), and one
@@ -161,12 +154,10 @@ def _complete_block(spec: KernelSpec, D: np.ndarray, system, X: np.ndarray,
     on the way.
     """
     K_DD, solve_op, sq_D = system
-    guarded = eta == 0.0
     tol2 = tol * tol
     momentum = np.zeros_like(X)
     done = ~missing.any(axis=-2)
     iterations = np.zeros(done.shape, dtype=int)
-    retries = np.zeros(done.shape, dtype=int)
     K = kernel_matrix(spec, D, X, sq_D)
     for _ in range(n_iter):
         # count_nonzero costs a fraction of .all() / .any() on short arrays
@@ -175,37 +166,19 @@ def _complete_block(spec: KernelSpec, D: np.ndarray, system, X: np.ndarray,
         active = ~done
         iterations += active
         Z = solve_op @ K
-        step = _sample_step(spec, X, Z, D, K, tau)
         momentum *= eta
-        momentum += step
-        move = missing & active[..., None, :]
-        X_try = np.where(move, X - momentum, X)
-        K_try = kernel_matrix(spec, D, X_try, sq_D)
-        if guarded:
-            # both objectives share Z and D, so only their x parts differ
-            before = _column_fit(spec, X, Z, K)
-            after = _column_fit(spec, X_try, Z, K_try)
-            retry = active & (after > before)
-            if np.count_nonzero(retry):
-                retries += retry
-                X_try = np.where(move & retry[..., None, :], X - 0.5 * step,
-                                 X_try)
-                K_try = kernel_matrix(spec, D, X_try, sq_D)
-                after = _column_fit(spec, X_try, Z, K_try)
-                rejected = retry & (after > before)
-                done |= rejected
-                rejected = rejected[..., None, :]
-                X_try = np.where(rejected, X, X_try)
-                K_try = np.where(rejected, K, K_try)
+        momentum += _sample_step(spec, X, Z, D, K, tau)
+        X_new = np.where(missing & active[..., None, :], X - momentum, X)
         # relative change of the missing entries, compared squared (dX is
         # zero at observed entries and in frozen columns)
-        dX = X_try - X
+        dX = X_new - X
         dX *= dX
         X_miss = np.where(missing, X, 0.0)
         X_miss *= X_miss
         done |= np.add.reduce(dX, axis=-2) < \
             tol2 * np.maximum(np.add.reduce(X_miss, axis=-2), 1e-60)
-        X, K = X_try, K_try
+        X = X_new
+        K = kernel_matrix(spec, D, X, sq_D)
     Z = solve_op @ K
     objective = sample_objective(spec, X, Z, D, alpha, beta, K, K_DD)
     failed = ~(np.isfinite(X).all(axis=-2) & np.isfinite(Z).all(axis=-2)
@@ -213,9 +186,9 @@ def _complete_block(spec: KernelSpec, D: np.ndarray, system, X: np.ndarray,
     if failed.any():
         raise NumericalError("sample completion produced non-finite values",
                              sample_index=int(np.argmax(failed)))
-    infos = [SampleInfo(c, bool(i >= n_iter), i, o, r) for c, i, o, r in
+    infos = [SampleInfo(c, bool(i >= n_iter), i, o) for c, i, o in
              zip(done.ravel().tolist(), iterations.ravel().tolist(),
-                 objective.ravel().tolist(), retries.ravel().tolist())]
+                 objective.ravel().tolist())]
     return X, Z, K, infos
 
 
@@ -303,11 +276,11 @@ def run_stream(samples, spec: KernelSpec, hp: OnlineHyperparams,
     start.  Tracks the running empirical cost (mean of each sample's most
     recent terminal objective) and, when ground truth is supplied, the
     running mean relative recovery error per visit.  The model totals the
-    inner-loop iterations, the samples that hit ``n_iter`` and the guarded
-    retries.
+    inner-loop iterations and the samples that hit ``n_iter``.
 
-    The whole stream is checked before the first update, so a bad sample
-    raises ValueError with ``model`` untouched.  A column's missing entries
+    The whole stream, and the shape (m, n) of ``ground_truth``, is checked
+    before the first update, so bad input raises ValueError with ``model``
+    untouched.  A column's missing entries
     are filled on its first visit, from the dictionary of that time.
 
     Returns the completed matrix in stream order and the model.
@@ -319,6 +292,9 @@ def run_stream(samples, spec: KernelSpec, hp: OnlineHyperparams,
         rng = np.random.default_rng(hp.seed)
         model = OnlineModel(rng.standard_normal((np.size(samples[0][0]), hp.r)))
     X0, missing = _prepare_columns(samples, model.dictionary)
+    if ground_truth is not None and np.shape(ground_truth) != X0.shape:
+        raise ValueError(f"ground_truth shape {np.shape(ground_truth)} does "
+                         f"not match the stream's {X0.shape}")
     work = np.where(missing, np.nan, X0)
     last_cost = np.full(len(samples), np.nan)
     cost_sum = 0.0
@@ -339,7 +315,6 @@ def run_stream(samples, spec: KernelSpec, hp: OnlineHyperparams,
             model.samples_seen += 1
             model.inner_iterations += info.iterations
             model.samples_hit_iter_limit += info.hit_iter_limit
-            model.guard_retries += info.retries
             if np.isnan(last_cost[j]):
                 seen += 1
                 cost_sum += info.objective

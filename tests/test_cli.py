@@ -732,24 +732,3 @@ def test_mask_shape_mismatch_exit_2(union_dir, tmp_path, capsys):
                    tmp_path / "mask.csv", "--out", tmp_path / command) == 2
         assert "mask shape does not match data shape" in \
             capsys.readouterr().err
-
-
-def test_reports_count_guard_retries(union_dir, tmp_path):
-    # long steps (tau = 1.05) make the guards of all three commands fire on
-    # this data; with momentum they never run
-    data = ("--mask", union_dir / "mask.csv", "--tol", 0, "--seed", 0)
-    runs = {
-        "complete": ("complete", "--data", union_dir / "data.csv",
-                     "--method", "kfmc-poly", "--t-max", 100, *data),
-        "stream": ("stream", "--data", union_dir / "data.csv", "--r", 10,
-                   "--n-iter", 10, *data),
-        "ose": ("ose", "--model", tmp_path / "stream-0" / "model.ckpt",
-                "--input", union_dir / "data.csv", "--n-iter", 10, *data),
-    }
-    for eta in (0, 0.5):
-        for name, argv in runs.items():
-            out = tmp_path / f"{name}-{eta}"
-            assert run(*argv, "--eta", eta, "--tau", 1.05, "--out", out) == 0
-            retries = load_report(out)["guard_retries"]
-            assert type(retries) is int
-            assert retries > 0 if eta == 0 else retries == 0, (name, eta)

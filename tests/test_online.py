@@ -345,3 +345,23 @@ def test_bad_later_sample_leaves_model_untouched(rng, bad_sample, message):
     assert model.samples_seen == 0
     assert np.array_equal(model.dictionary, D)
     assert not model.dict_momentum.any() and model.cost_trace == []
+
+
+@pytest.mark.parametrize("shape", [(5, 10), (6, 4)], ids=["rows", "columns"])
+def test_mis_shaped_ground_truth_leaves_model_untouched(rng, shape):
+    # ground_truth is checked against the stream's (m, n) = (6, 10) up front
+    D = rng.standard_normal((6, 3))
+    model = OnlineModel(D)
+    model.samples_seen = 7
+    samples = []
+    for _ in range(10):
+        x = rng.standard_normal(6)
+        x[[1, 4]] = np.nan
+        samples.append((x, [0, 2, 3, 5]))
+    with pytest.raises(ValueError, match="ground_truth shape"):
+        run_stream(samples, KernelSpec.rbf(1.0),
+                   OnlineHyperparams(r=3, n_iter=5, seed=0),
+                   ground_truth=rng.standard_normal(shape), model=model)
+    assert model.samples_seen == 7
+    assert np.array_equal(model.dictionary, D)
+    assert not model.dict_momentum.any() and model.cost_trace == []

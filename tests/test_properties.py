@@ -1,14 +1,13 @@
 """Properties of the shipped solvers on small drawn problems.
 
 ``fit``, ``run_stream`` and ``complete_new`` run on small drawn problems
-(shapes, masks and values), with both kernels and both step modes (momentum
-and guarded); every observed entry must come back with the same bits.
+(shapes, masks and values), with both kernels, with and without momentum;
+every observed entry must come back with the same bits.
 Stopping by ``tol`` only cuts the run short: a ``fit`` that stops by
 ``tol`` has the bits of the run that spends a budget of exactly its sweeps,
 and so has each column of ``complete_new`` with a budget of exactly its
-inner iterations.  Guarded ``complete_new`` at any relaxation gives each
-column the same bits and :class:`SampleInfo`, retries included, in any
-column order.
+inner iterations.  ``complete_new`` with eta = 0 at any relaxation gives
+each column the same bits and :class:`SampleInfo` in any column order.
 """
 from dataclasses import replace
 
@@ -21,7 +20,7 @@ from kfmc import (KernelSpec, Mask, OfflineHyperparams, OnlineHyperparams,
                   complete_new, fit, impute_init, run_stream)
 
 SPECS = [KernelSpec.rbf(2.0), KernelSpec.poly(2, 1.0)]
-GUARD_SPECS = [KernelSpec.rbf(2.0), KernelSpec.poly(3, 0.5)]
+LONG_STEP_SPECS = [KernelSpec.rbf(2.0), KernelSpec.poly(3, 0.5)]
 SETTINGS = settings(max_examples=50, deadline=None, derandomize=True,
                     database=None)
 
@@ -29,7 +28,7 @@ SETTINGS = settings(max_examples=50, deadline=None, derandomize=True,
 @st.composite
 def problems(draw):
     """A data matrix (m, n), a mask with at least one observed entry, a
-    kernel and a momentum weight (0 for the guarded step)."""
+    kernel and a momentum weight (0 for none)."""
     m = draw(st.integers(2, 5))
     n = draw(st.integers(1, 7))
     values = draw(arrays(np.float64, (m, n),
@@ -109,12 +108,13 @@ def test_complete_new_stopping_by_tol_only_cuts_the_run_short(problem, seed):
 
 
 @SETTINGS
-@given(st.integers(4, 9), st.integers(1, 12), st.sampled_from(GUARD_SPECS),
-       st.floats(1.01, 2.0), st.integers(0, 2**32 - 1))
+@given(st.integers(4, 9), st.integers(1, 12),
+       st.sampled_from(LONG_STEP_SPECS), st.floats(1.01, 2.0),
+       st.integers(0, 2**32 - 1))
 def test_guarded_complete_new_is_column_wise_in_any_order(m, n, spec, tau,
                                                           seed):
-    # long steps (tau near 1) and tol = 0 make the guard retry and reject
-    # steps: 28 of the 282 columns drawn, in 9 of the 50 draws, retry
+    # long steps (tau near 1) and tol = 0: every column with a missing
+    # entry runs all 12 iterations
     rng = np.random.default_rng(seed)
     D = rng.standard_normal((m, 5))
     values = 2.0 * rng.standard_normal((m, n))
