@@ -105,7 +105,7 @@ def _read_problem(args, path):
 
     Without --mask the entries that are not NaN are observed, so an inf is
     an error either way; a fully finite matrix is its own truth unless
-    --truth is given."""
+    --truth is given, which must be finite."""
     data = read_matrix_csv(path)
     if args.mask:
         mask = read_mask_csv(args.mask)
@@ -120,6 +120,8 @@ def _read_problem(args, path):
         truth = read_matrix_csv(args.truth)
         if truth.shape != data.shape:
             raise ValueError("truth shape does not match data shape")
+        if not np.all(np.isfinite(truth)):
+            raise ValueError(f"{args.truth}: truth has non-finite values")
     elif np.all(np.isfinite(data)):
         truth = data
     return data, mask, truth

@@ -15,13 +15,14 @@ All three solvers (batch, streaming and out-of-sample) share this module's
 algebra.  Codes come from one operator, S = (K_DD + beta I)^-1, built by
 :func:`_solve_operator` from a Cholesky factor and applied as one product
 (LAPACK potrs on the factor runs about 6x slower).  A column's objective
-is its x part, :func:`_column_fit`, plus the code-only terms of
-:func:`_code_terms`, summed in that order; the completion update is the
-column-wise :func:`_sample_step`, a column's gradient over the curvature of
-its frozen-weight model.  For poly both carry the factor q = degree, which
-cancels.  RBF divides by the curvature's magnitude, so it descends even
-where sum(z k(D, x)) < 0.  The batch and the stream dictionary updates
-both scale the gradient of :func:`_dictionary_parts` by its curvature.
+is :func:`_column_objective`, which :func:`objective` sums over the
+columns and the inner loop reports column by column.  The completion
+update is the column-wise :func:`_sample_step`, a column's gradient over
+the curvature of its frozen-weight model.  For poly both carry the factor
+q = degree, which cancels.  RBF divides by the curvature's magnitude, so it
+descends even where sum(z k(D, x)) < 0.  The batch and the stream
+dictionary updates both scale the gradient of :func:`_dictionary_parts` by
+its curvature.
 """
 from __future__ import annotations
 
@@ -94,8 +95,12 @@ class OfflineModel:
     mm: MaskedMatrix
     objective_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
     iterations: int = 0
-    converged: bool = False
     stop_reason: str = "t_max"  # see :func:`fit`; "numerical" if it raised
+
+    @property
+    def converged(self) -> bool:
+        """Whether :func:`fit` stopped by ``tol``."""
+        return self.stop_reason == "tol"
 
     @property
     def completed(self) -> np.ndarray:
@@ -114,23 +119,18 @@ def _dictionary_reg(spec: KernelSpec, D: np.ndarray) -> float:
     return float(kernel_diag(spec, D).sum()) if spec.is_poly else D.shape[1]
 
 
-def _code_terms(Z: np.ndarray, K_DD: np.ndarray, alpha: float, beta: float,
-                reg_d: float):
-    """The per-sample objective terms that depend only on the codes (r, b),
-    or a stack of them (nb, r, b), and D: 0.5 z'K_DD z, 0.5 alpha reg_d and
-    0.5 beta ||z||^2, per column."""
-    return (0.5 * np.add.reduce(Z * (K_DD @ Z), axis=-2), 0.5 * alpha * reg_d,
-            0.5 * beta * np.add.reduce(Z * Z, axis=-2))
-
-
-def _column_fit(spec: KernelSpec, X: np.ndarray, Z: np.ndarray,
-                K: np.ndarray) -> np.ndarray:
-    """The x part 0.5 k(x, x) - k(D, x)'z of the per-column objective of
-    the columns X (m, b) with codes Z (r, b) and K = k(D, X) (r, b); on a
-    stack of blocks, one value per column of each block (nb, b)."""
+def _column_objective(spec: KernelSpec, X: np.ndarray, Z: np.ndarray,
+                      K: np.ndarray, K_DD: np.ndarray, alpha: float,
+                      beta: float, reg_d: float) -> np.ndarray:
+    """Per-column objective of the columns X (m, b) with codes Z (r, b) and
+    K = k(D, X) (r, b), or of each block of a stack (nb, m, b), giving (b,)
+    or (nb, b): 0.5 k(x, x) - k(D, x)'z + 0.5 z'K_DD z + 0.5 alpha reg_d
+    + 0.5 beta ||z||^2, added in that order, with reg_d = Tr K_DD."""
     # k(x, x) = 1 for RBF
     self_term = 0.5 * kernel_diag(spec, X) if spec.is_poly else 0.5
-    return self_term - np.add.reduce(K * Z, axis=-2)
+    return (self_term - np.add.reduce(K * Z, axis=-2)
+            + 0.5 * np.add.reduce(Z * (K_DD @ Z), axis=-2)
+            + 0.5 * alpha * reg_d + 0.5 * beta * np.add.reduce(Z * Z, axis=-2))
 
 
 def objective(spec: KernelSpec, X: np.ndarray, D: np.ndarray, Z: np.ndarray,
@@ -139,8 +139,7 @@ def objective(spec: KernelSpec, X: np.ndarray, D: np.ndarray, Z: np.ndarray,
     per-column objective without its dictionary term, summed over the
     columns, plus the dictionary term once."""
     K_XD, K_DD = _state_kernels(spec, X, D, kernels)
-    quad, reg, ridge = _code_terms(Z, K_DD, 0.0, beta, 0.0)
-    columns = _column_fit(spec, X, Z, K_XD.T) + quad + reg + ridge
+    columns = _column_objective(spec, X, Z, K_XD.T, K_DD, 0.0, beta, 0.0)
     return float(columns.sum()) + 0.5 * alpha * _dictionary_reg(spec, D)
 
 
@@ -316,8 +315,7 @@ def fit(mm: MaskedMatrix, spec: KernelSpec,
     def partial_model():
         result = mm.copy()
         result.completion[:] = X
-        return OfflineModel(D, Z, result, np.asarray(trace), t,
-                            stop_reason == "tol", stop_reason)
+        return OfflineModel(D, Z, result, np.asarray(trace), t, stop_reason)
 
     kernels = _state_kernels(spec, X, D)  # of the current (X, D)
     try:

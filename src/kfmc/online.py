@@ -29,9 +29,8 @@ import numpy as np
 
 from .exceptions import NumericalError
 from .kernels import KernelSpec, column_sq_norms, kernel_matrix
-from .offline import (_check_settings, _code_terms, _column_fit,
-                      _dictionary_parts, _dictionary_reg, _sample_step,
-                      _solve_operator)
+from .offline import (_check_settings, _column_objective, _dictionary_parts,
+                      _dictionary_reg, _sample_step, _solve_operator)
 
 # Floor for the spectral-norm scaling of the dictionary update.
 EPS_NORM = 1e-12
@@ -115,9 +114,8 @@ def sample_objective(spec: KernelSpec, x: np.ndarray, z: np.ndarray,
     K = k_xD if k_xD.ndim > 1 else k_xD[:, None]
     if K_DD is None:
         K_DD = kernel_matrix(spec, D, D)
-    quad, reg, ridge = _code_terms(Z, K_DD, alpha, beta,
-                                   _dictionary_reg(spec, D))
-    obj = _column_fit(spec, X, Z, K) + quad + reg + ridge
+    obj = _column_objective(spec, X, Z, K, K_DD, alpha, beta,
+                            _dictionary_reg(spec, D))
     return obj if x.ndim > 1 else float(obj[0])
 
 

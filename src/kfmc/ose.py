@@ -67,12 +67,12 @@ def complete_new(D: np.ndarray, samples, spec: KernelSpec, beta: float,
     to their norm.  The step contracts the error by about 1/sqrt(2) per
     iteration, so tol = 1e-3 takes about 19 of the 30 iterations (1e-6
     would need some 40).  A stack iterates until its slowest column stops.
-    A bad tau, eta or n_iter, index or observed value raises ValueError.
+    A bad beta, tau, eta or n_iter, index or observed value raises ValueError.
     A :class:`NumericalError` names a failing sample in ``sample_index``; an
     indefinite K_DD + beta I raises one up front.
     """
     D = np.asarray(D, dtype=float)
-    _check_settings(tau=tau, eta=eta, n_iter=n_iter)
+    _check_settings(tau=tau, eta=eta, beta=beta, n_iter=n_iter)
     system = _code_system(spec, D, beta)
     X0, missing = _prepare_columns(samples, D)
     m, n = X0.shape

@@ -472,6 +472,24 @@ def test_ose_truth_shape_mismatch_exit_2(union_dir, trained_model, tmp_path,
     assert not (out / "completed.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["complete", "stream", "ose"])
+def test_non_finite_truth_exit_2(union_dir, trained_model, tmp_path, capsys,
+                                 command):
+    from kfmc.dataio import write_matrix_csv
+    data = union_dir / "data.csv"
+    truth = read_matrix_csv(data)
+    truth[4, 7] = np.nan
+    bad = tmp_path / "truth.csv"
+    write_matrix_csv(bad, truth)
+    source = ("--input", data, "--model", trained_model) \
+        if command == "ose" else ("--data", data, "--r", 10)
+    out = tmp_path / "out"
+    assert run(command, *source, "--mask", union_dir / "mask.csv",
+               "--truth", bad, "--out", out) == 2
+    assert f"{bad}: truth has non-finite values" in capsys.readouterr().err
+    assert not (out / "completed.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("complete", "--method", "kfmc-rbf", "--r", 10, "--t-max", 3),
     ("complete", "--method", "lrf", "--rank", 3, "--iters", 5),

@@ -1,11 +1,10 @@
 """The inner loop's objective and steps, and its column-wise bits.
 
-The per-column objective is its x part (:func:`kfmc.offline._column_fit`)
-plus the code-only terms, added in that order, and :func:`sample_objective`
-must give the same bits with or without the kernels it is handed.  The
-inner loop evaluates the code-only terms once, for the terminal objective.
-A block of columns that take long steps must still give each column the
-bits it gets alone.
+The per-column objective (:func:`kfmc.offline._column_objective`) adds its
+terms in one order, and :func:`sample_objective` must give the same bits
+with or without the kernels it is handed.  The inner loop evaluates it
+once, for the terminal objective.  A block of columns that take long steps
+must still give each column the bits it gets alone.
 """
 import numpy as np
 import pytest
@@ -14,8 +13,8 @@ from kfmc import (KernelSpec, OnlineHyperparams, OnlineModel, complete_new,
                   complete_sample)
 from kfmc import online
 from kfmc.kernels import kernel_diag, kernel_matrix
-from kfmc.offline import _column_fit
-from kfmc.online import _code_terms, _dictionary_reg, sample_objective
+from kfmc.offline import _column_objective
+from kfmc.online import _dictionary_reg, sample_objective
 
 SPECS = [KernelSpec.rbf(1.7), KernelSpec.poly(3, 0.5)]
 ALPHA, BETA = 0.2, 0.1
@@ -40,24 +39,18 @@ def test_objective_with_shared_terms_gives_identical_bits(spec, width):
     K_DD = kernel_matrix(spec, D, D)
     Z = rng.standard_normal((4, X.shape[1]))
     K = kernel_matrix(spec, D, X)
-    terms = _code_terms(Z, K_DD, ALPHA, BETA, _dictionary_reg(spec, D))
+    columns = _column_objective(spec, X, Z, K, K_DD, ALPHA, BETA,
+                                _dictionary_reg(spec, D))
     if width is None:  # one column: 1-d x, z and k(D, x)
         X, Z, K = X[:, 0], Z[:, 0], K[:, 0]
     reference = sample_objective(spec, X, Z, D, ALPHA, BETA)
     expected = _reference_objective(spec, X.reshape(5, -1), Z.reshape(4, -1),
                                     D, ALPHA, BETA)
     assert np.array_equal(reference, expected if width else expected[0])
+    assert np.array_equal(columns, expected)
     for k_xD, K_DD_arg in ((None, None), (K, K_DD), (K, None)):
         given = sample_objective(spec, X, Z, D, ALPHA, BETA, k_xD, K_DD_arg)
         assert np.array_equal(given, reference)
-    # the x part, k(x, x) / 2 - k(D, x)'z, opens the objective's sum and
-    # the code-only terms follow it
-    Xb, Zb, Kb = X.reshape(5, -1), Z.reshape(4, -1), K.reshape(4, -1)
-    x_part = _column_fit(spec, Xb, Zb, Kb)
-    assert np.array_equal(
-        x_part, 0.5 * kernel_diag(spec, Xb) - (Kb * Zb).sum(axis=0))
-    quad, reg, ridge = terms
-    assert np.array_equal(x_part + quad + reg + ridge, expected)
     if width is None:
         assert isinstance(reference, float)
 
@@ -69,9 +62,9 @@ def test_guarded_sample_evaluates_code_terms_once_per_code_solve(
 
     def counted(*args):
         calls.append(1)
-        return _code_terms(*args)
+        return _column_objective(*args)
 
-    monkeypatch.setattr(online, "_code_terms", counted)
+    monkeypatch.setattr(online, "_column_objective", counted)
     rng = np.random.default_rng(5)
     D = rng.standard_normal((10, 6))
     x = rng.standard_normal(10)
@@ -80,8 +73,8 @@ def test_guarded_sample_evaluates_code_terms_once_per_code_solve(
     _, _, info = complete_sample(OnlineModel(D), x, np.arange(0, 10, 2),
                                  spec, hp)
     assert info.iterations >= 3
-    # the terminal objective is the one code solve whose code-only terms
-    # are evaluated
+    # the terminal objective is the one code solve whose objective is
+    # evaluated
     assert len(calls) == 1
 
 

@@ -119,3 +119,12 @@ def test_complete_new_order_independent(rng):
     assert np.array_equal(out, reversed_out[:, ::-1])
     solo = complete_new(D, [samples[2]], spec, beta=1e-3, n_iter=20)
     assert np.array_equal(out[:, 2], solo[:, 0])
+
+
+@pytest.mark.parametrize("beta", [-1e-3, np.nan], ids=["negative", "nan"])
+def test_complete_new_rejects_a_bad_beta(rng, beta):
+    D = rng.standard_normal((5, 3))
+    x = rng.standard_normal(5)
+    x[3:] = np.nan
+    with pytest.raises(ValueError, match="beta must be >= 0"):
+        complete_new(D, [(x, np.arange(3))], KernelSpec.rbf(2.0), beta=beta)

@@ -8,6 +8,8 @@ Stopping by ``tol`` only cuts the run short: a ``fit`` that stops by
 and so has each column of ``complete_new`` with a budget of exactly its
 inner iterations.  ``complete_new`` with eta = 0 at any relaxation gives
 each column the same bits and :class:`SampleInfo` in any column order.
+The kernel matrix of drawn points with themselves is exactly symmetric and
+positive semidefinite up to rounding.
 """
 from dataclasses import replace
 
@@ -18,6 +20,7 @@ from hypothesis.extra.numpy import arrays
 
 from kfmc import (KernelSpec, Mask, OfflineHyperparams, OnlineHyperparams,
                   complete_new, fit, impute_init, run_stream)
+from kfmc.kernels import kernel_matrix
 
 SPECS = [KernelSpec.rbf(2.0), KernelSpec.poly(2, 1.0)]
 LONG_STEP_SPECS = [KernelSpec.rbf(2.0), KernelSpec.poly(3, 0.5)]
@@ -128,3 +131,25 @@ def test_guarded_complete_new_is_column_wise_in_any_order(m, n, spec, tau,
                                   **run)
     assert np.array_equal(out_p, out[:, perm])
     assert infos_p == [infos[j] for j in perm]
+
+
+@st.composite
+def kernel_points(draw):
+    """Points D (m, r) at a drawn scale and a kernel of either kind."""
+    shape = (draw(st.integers(1, 12)), draw(st.integers(1, 20)))
+    D = 10.0 ** draw(st.integers(-3, 3)) * draw(arrays(
+        np.float64, shape, elements=st.floats(-3.0, 3.0, allow_nan=False)))
+    spec = draw(st.one_of(
+        st.builds(KernelSpec.rbf, st.floats(0.1, 10.0)),
+        st.builds(KernelSpec.poly, st.integers(1, 4), st.floats(0.0, 10.0))))
+    return D, spec
+
+
+@SETTINGS
+@given(kernel_points())
+def test_kernel_matrix_is_symmetric_positive_semidefinite(points):
+    D, spec = points
+    K = kernel_matrix(spec, D, D)
+    assert np.array_equal(K, K.T)
+    eigenvalues = np.linalg.eigvalsh(K)
+    assert eigenvalues[0] >= -1e-12 * max(1.0, np.abs(eigenvalues).max())
