@@ -2,8 +2,9 @@
 
 Two kernels are supported: the polynomial kernel ``(x.T y + offset)**degree``
 and the RBF kernel ``exp(-||x - y||^2 / sigma^2)``.  Columns are samples
-throughout: an (m, n) array holds n points in R^m, and a stack (nb, m, b)
-holds nb blocks of b points each.
+throughout: an (m, n) array holds n points in R^m.  A caller may ask for
+the columns to be taken in blocks of a fixed width, side by side in one
+array; each block then gets the bits it gets alone.
 """
 from __future__ import annotations
 
@@ -73,36 +74,54 @@ def eval_kernel(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def column_sq_norms(A: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norms of the columns of A, or of each block of a
-    stack (nb, m, b).  Sums run down axis -2, so a block in a stack sums in
-    the order it sums alone and gets the same bits."""
-    return np.add.reduce(A * A, axis=-2)
+    """Squared Euclidean norms of the columns of A.  Sums run down the
+    columns, so a column gets the same bits whatever its neighbours."""
+    return np.add.reduce(A * A, axis=0)
+
+
+def block_product(A: np.ndarray, B: np.ndarray,
+                  block: int | None = None) -> np.ndarray:
+    """A @ B, as one product per ``block``-wide column block of B (one
+    product when ``block`` is None or B is one block).
+
+    B (k, n) holds its blocks side by side, so n is a multiple of ``block``.
+    numpy's matmul hands BLAS each block in place, as a strided view, and
+    writes each result block into its place in the output: a block gets
+    the bits it gets as a product of its own.
+    """
+    if block is None or B.shape[-1] == block:
+        return A @ B
+    k, n = B.shape
+    out = np.empty((A.shape[0], n))
+    np.matmul(A, B.reshape(k, -1, block).transpose(1, 0, 2),
+              out=out.reshape(-1, n // block, block).transpose(1, 0, 2))
+    return out
 
 
 def kernel_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray,
-                  sq_A: np.ndarray | None = None) -> np.ndarray:
+                  sq_A: np.ndarray | None = None,
+                  block: int | None = None) -> np.ndarray:
     """Dense kernel matrix with entry (i, j) = k(A[:, i], B[:, j]).
 
-    ``B`` may be a stack (nb, m, b) of blocks, giving one matrix per block
-    (nb, r, b) with the bits of each block evaluated alone.  ``sq_A`` may
-    hold ``column_sq_norms(A)``, computed once by a caller that evaluates
-    many kernels against the same A; the result has the same bits.
+    ``sq_A`` may hold ``column_sq_norms(A)``, computed once by a caller that
+    evaluates many kernels against the same A; the result has the same
+    bits.  With ``block``, the Gram product runs once per block of B (see
+    :func:`block_product`), so each block gets the bits it gets alone.
     """
     A = np.asarray(A, dtype=float)  # no copy for float64 arrays
     B = np.asarray(B, dtype=float)
-    if A.ndim != 2 or B.ndim not in (2, 3):
-        raise ValueError("kernel matrix inputs must be 2-d arrays of columns "
-                         "(B may be a 3-d stack of them)")
-    if A.shape[0] != B.shape[-2]:
-        raise ValueError(f"row-count mismatch: {A.shape[0]} vs {B.shape[-2]}")
-    G = A.T @ B
+    if A.ndim != 2 or B.ndim != 2:
+        raise ValueError("kernel matrix inputs must be 2-d arrays of columns")
+    if A.shape[0] != B.shape[0]:
+        raise ValueError(f"row-count mismatch: {A.shape[0]} vs {B.shape[0]}")
+    G = block_product(A.T, B, block)
     if spec.is_poly:
         return (G + spec.offset) ** spec.degree
     if sq_A is None:
         sq_A = column_sq_norms(A)
     # exp(-max(|a|^2 + |b|^2 - 2 a'b, 0) / sigma^2), evaluated in place in
     # that order; dividing by -sigma^2 rounds exactly like negating first
-    sq = sq_A[:, None] + column_sq_norms(B)[..., None, :]
+    sq = sq_A[:, None] + column_sq_norms(B)
     G *= 2.0
     np.subtract(sq, G, out=sq)
     np.maximum(sq, 0.0, out=sq)

@@ -33,7 +33,8 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.lapack import dpotri
 
 from .exceptions import NumericalError
-from .kernels import KernelSpec, kernel_diag, kernel_matrix, power_weights
+from .kernels import (KernelSpec, block_product, kernel_diag, kernel_matrix,
+                      power_weights)
 from .masking import MaskedMatrix
 
 # Floor for the diagonal Newton scalings of the completion update.
@@ -121,16 +122,17 @@ def _dictionary_reg(spec: KernelSpec, D: np.ndarray) -> float:
 
 def _column_objective(spec: KernelSpec, X: np.ndarray, Z: np.ndarray,
                       K: np.ndarray, K_DD: np.ndarray, alpha: float,
-                      beta: float, reg_d: float) -> np.ndarray:
-    """Per-column objective of the columns X (m, b) with codes Z (r, b) and
-    K = k(D, X) (r, b), or of each block of a stack (nb, m, b), giving (b,)
-    or (nb, b): 0.5 k(x, x) - k(D, x)'z + 0.5 z'K_DD z + 0.5 alpha reg_d
-    + 0.5 beta ||z||^2, added in that order, with reg_d = Tr K_DD."""
+                      beta: float, reg_d: float,
+                      block: int | None = None) -> np.ndarray:
+    """Per-column objective (b,) of the columns X (m, b) with codes Z (r, b)
+    and K = k(D, X) (r, b): 0.5 k(x, x) - k(D, x)'z + 0.5 z'K_DD z
+    + 0.5 alpha reg_d + 0.5 beta ||z||^2, added in that order, with
+    reg_d = Tr K_DD.  ``block`` is the layout of :func:`block_product`."""
     # k(x, x) = 1 for RBF
     self_term = 0.5 * kernel_diag(spec, X) if spec.is_poly else 0.5
-    return (self_term - np.add.reduce(K * Z, axis=-2)
-            + 0.5 * np.add.reduce(Z * (K_DD @ Z), axis=-2)
-            + 0.5 * alpha * reg_d + 0.5 * beta * np.add.reduce(Z * Z, axis=-2))
+    return (self_term - np.add.reduce(K * Z, axis=0)
+            + 0.5 * np.add.reduce(Z * block_product(K_DD, Z, block), axis=0)
+            + 0.5 * alpha * reg_d + 0.5 * beta * np.add.reduce(Z * Z, axis=0))
 
 
 def objective(spec: KernelSpec, X: np.ndarray, D: np.ndarray, Z: np.ndarray,
@@ -239,25 +241,25 @@ def dictionary_step(spec: KernelSpec, X: np.ndarray, D: np.ndarray,
 
 
 def _sample_step(spec: KernelSpec, x: np.ndarray, z: np.ndarray,
-                 D: np.ndarray, k_xD: np.ndarray, tau: float) -> np.ndarray:
+                 D: np.ndarray, k_xD: np.ndarray, tau: float,
+                 block: int | None = None) -> np.ndarray:
     """Relaxed Newton increment (x moves by -step) on one column (m,), or
-    column-wise on a block (m, b) or a stack of blocks (nb, m, b) with codes
-    and k(D, x) of shape (r, b) or (nb, r, b)."""
-    # column sums kept as rows, which broadcast against every shape of x
-    axis = -min(x.ndim, 2)
+    column-wise on a block (m, b) with codes and k(D, x) of shape (r, b).
+    ``block`` is the layout of :func:`block_product`."""
+    # column sums kept as rows, which broadcast against x
     if spec.is_poly:
-        w1 = (np.add.reduce(x * x, axis=axis, keepdims=True)
+        w1 = (np.add.reduce(x * x, axis=0, keepdims=True)
               + spec.offset) ** (spec.degree - 1)
-        w2 = (D.T @ x + spec.offset) ** (spec.degree - 1)
-        grad = w1 * x - D @ (w2 * z)
+        w2 = (block_product(D.T, x, block) + spec.offset) ** (spec.degree - 1)
+        grad = w1 * x - block_product(D, w2 * z, block)
         return grad / (tau * np.maximum(w1, EPS_DIAG))
     # (g x - D P) / (tau |g|) with P = z k(D, x) and g = sum(P).  |g| is the
     # curvature magnitude of the frozen-kernel model; using the magnitude
     # keeps the step pointed at the stationary point D P / g.
     P = z * k_xD
-    g = np.add.reduce(P, axis=axis, keepdims=True)
+    g = np.add.reduce(P, axis=0, keepdims=True)
     step = g * x
-    step -= D @ P
+    step -= block_product(D, P, block)
     step /= tau * np.maximum(np.abs(g), EPS_DIAG)
     return step
 

@@ -9,26 +9,28 @@ Model state is O(m*r + r^2), except ``cost_trace`` / ``err_trace``, which
 gain one entry per visit; :func:`run_stream` also holds the (m, n) stream.
 
 One inner loop, :func:`_complete_block`, serves the streaming and the
-out-of-sample solvers.  It works on an (m, b) block of columns or on a
-stack (nb, m, b) of such blocks: the stream calls it with one block of
-b = 1, :func:`kfmc.ose.complete_new` with a stack of zero-padded blocks of
-a fixed width.  Each step is a column-wise array operation or a product
-that runs once per block at the block's fixed shape, and a finished column
-is frozen, so with a fixed b a column's bits depend on neither its
-position, its block nor its neighbours.  Each
-kernel is evaluated once per state and handed to every consumer: K_DD once
-per dictionary, next to the solve operator, and K(D, X) once per block
-state, so an iteration costs one kernel, of its new point, whatever eta.
+out-of-sample solvers.  It works on an (m, n) array of columns, taken as
+one block or as blocks of a fixed width side by side: the stream calls it
+with one block of one column, :func:`kfmc.ose.complete_new` with
+zero-padded blocks of a fixed width.  Each step is a column-wise array
+operation or a product that runs once per block at the block's fixed shape
+(:func:`kfmc.kernels.block_product`), and a finished column is frozen, so
+with a fixed width a column's bits depend on neither its position, its
+block nor its neighbours; a block whose columns have all stopped leaves
+the loop.  Each kernel is evaluated once per state and handed to every
+consumer: K_DD once per dictionary, next to the solve operator, and
+K(D, X) once per state of the running blocks, so an iteration costs one
+kernel, of its new point, whatever eta.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import NumericalError
-from .kernels import KernelSpec, column_sq_norms, kernel_matrix
+from .kernels import (KernelSpec, block_product, column_sq_norms,
+                      kernel_matrix)
 from .offline import (_check_settings, _column_objective, _dictionary_parts,
                       _dictionary_reg, _sample_step, _solve_operator)
 
@@ -99,13 +101,13 @@ class SampleInfo:
 
 def sample_objective(spec: KernelSpec, x: np.ndarray, z: np.ndarray,
                      D: np.ndarray, alpha: float, beta: float,
-                     k_xD=None, K_DD=None):
+                     k_xD=None, K_DD=None, block: int | None = None):
     """Per-sample objective 0.5||phi(x) - phi(D) z||^2 + regularizers.
 
     ``x`` is one column (m,) with its code ``z`` (r,), giving a float, or a
-    block (m, b) with codes (r, b), giving one value per column, or a stack
-    of blocks (nb, m, b) with codes (nb, r, b), giving (nb, b) values.
-    ``k_xD`` holds k(D, x), shaped like ``z``.
+    block (m, b) with codes (r, b), giving one value per column.  ``k_xD``
+    holds k(D, x), shaped like ``z``; ``block`` is the layout of
+    :func:`kfmc.kernels.block_product`.
     """
     X = x if x.ndim > 1 else x[:, None]
     Z = z if z.ndim > 1 else z[:, None]
@@ -115,7 +117,7 @@ def sample_objective(spec: KernelSpec, x: np.ndarray, z: np.ndarray,
     if K_DD is None:
         K_DD = kernel_matrix(spec, D, D)
     obj = _column_objective(spec, X, Z, K, K_DD, alpha, beta,
-                            _dictionary_reg(spec, D))
+                            _dictionary_reg(spec, D), block)
     return obj if x.ndim > 1 else float(obj[0])
 
 
@@ -132,61 +134,82 @@ def _code_system(spec: KernelSpec, D: np.ndarray, beta: float):
 
 def _complete_block(spec: KernelSpec, D: np.ndarray, system, X: np.ndarray,
                     missing: np.ndarray, *, tau: float, eta: float,
-                    n_iter: int, tol: float, alpha: float, beta: float):
-    """Inner loop on an (m, b) block of columns, or on a stack (nb, m, b) of
-    blocks: alternate exact code solves with Newton steps on the entries
-    where ``missing`` is True.
+                    n_iter: int, tol: float, alpha: float, beta: float,
+                    block: int | None = None):
+    """Inner loop on the columns of X (m, n): alternate exact code solves
+    with Newton steps on the entries where ``missing`` is True.
 
     ``system`` comes from :func:`_code_system`; ``X`` is not modified.  A
     column with nothing missing never moves.  Every eta takes the same
     step; eta = 0 means no momentum.  A column stops when its relative
     change drops below ``tol``, or after ``n_iter`` iterations, and from
-    then on keeps its values and kernel.  Every product runs once
-    per block at shape (.., b) and every reduction runs down the columns, so
-    a block in a stack gets the bits it gets alone.  Returns the block(s), the
-    codes and k(D, x) of each column, shaped (r, b) or (nb, r, b), and one
-    :class:`SampleInfo` per column, block by block.  Raises
-    :class:`NumericalError` naming the first non-finite column in
-    ``sample_index``, counted in that order; a non-finite entry stays
-    non-finite, so checking once at the end finds every column that failed
-    on the way.
+    then on keeps its values and kernel.  With ``block``, X holds blocks of
+    that width side by side: every product runs once per block (see
+    :func:`kfmc.kernels.block_product`) and every sum runs down the
+    columns, so a block gets the bits it gets alone, and a block whose
+    columns have all stopped leaves the working set.  Returns the
+    completed X, the codes and k(D, x) of each column (r, n), and one
+    :class:`SampleInfo` per column.  Raises :class:`NumericalError` naming
+    the first non-finite column in ``sample_index``; a non-finite entry
+    stays non-finite, so checking once at the end finds every column that
+    failed on the way.
     """
     K_DD, solve_op, sq_D = system
     tol2 = tol * tol
     momentum = np.zeros_like(X)
-    done = ~missing.any(axis=-2)
+    done = ~missing.any(axis=0)
     iterations = np.zeros(done.shape, dtype=int)
-    K = kernel_matrix(spec, D, X, sq_D)
+    K = kernel_matrix(spec, D, X, sq_D, block)
+    # several blocks: finished ones go to ``result``; the working set keeps
+    # the others, whose columns of X are ``cols``
+    blocks = block is not None and X.shape[1] > block
+    if blocks:
+        cols = np.arange(X.shape[1])
+        result = [np.empty_like(a) for a in (X, K, iterations, done)]
     for _ in range(n_iter):
         # count_nonzero costs a fraction of .all() / .any() on short arrays
         if np.count_nonzero(done) == done.size:
             break
+        if blocks:
+            finished = np.repeat(done.reshape(-1, block).all(axis=1), block)
+            if np.count_nonzero(finished):
+                for out, a in zip(result, (X, K, iterations, done)):
+                    out[..., cols[finished]] = a[..., finished]
+                # np.take keeps C order; a boolean gather comes back in
+                # Fortran order, which BLAS reads transposed, other bits
+                keep = np.flatnonzero(~finished)
+                X, missing, momentum, K, done, iterations, cols = (
+                    np.ascontiguousarray(np.take(a, keep, axis=-1)) for a in
+                    (X, missing, momentum, K, done, iterations, cols))
         active = ~done
         iterations += active
-        Z = solve_op @ K
+        Z = block_product(solve_op, K, block)
         momentum *= eta
-        momentum += _sample_step(spec, X, Z, D, K, tau)
-        X_new = np.where(missing & active[..., None, :], X - momentum, X)
+        momentum += _sample_step(spec, X, Z, D, K, tau, block)
+        X_new = np.where(missing & active, X - momentum, X)
         # relative change of the missing entries, compared squared (dX is
         # zero at observed entries and in frozen columns)
         dX = X_new - X
         dX *= dX
         X_miss = np.where(missing, X, 0.0)
         X_miss *= X_miss
-        done |= np.add.reduce(dX, axis=-2) < \
-            tol2 * np.maximum(np.add.reduce(X_miss, axis=-2), 1e-60)
+        done |= np.add.reduce(dX, axis=0) < \
+            tol2 * np.maximum(np.add.reduce(X_miss, axis=0), 1e-60)
         X = X_new
-        K = kernel_matrix(spec, D, X, sq_D)
-    Z = solve_op @ K
-    objective = sample_objective(spec, X, Z, D, alpha, beta, K, K_DD)
-    failed = ~(np.isfinite(X).all(axis=-2) & np.isfinite(Z).all(axis=-2)
+        K = kernel_matrix(spec, D, X, sq_D, block)
+    if blocks:
+        for out, a in zip(result, (X, K, iterations, done)):
+            out[..., cols] = a
+        X, K, iterations, done = result
+    Z = block_product(solve_op, K, block)
+    objective = sample_objective(spec, X, Z, D, alpha, beta, K, K_DD, block)
+    failed = ~(np.isfinite(X).all(axis=0) & np.isfinite(Z).all(axis=0)
                & np.isfinite(objective))
     if failed.any():
         raise NumericalError("sample completion produced non-finite values",
                              sample_index=int(np.argmax(failed)))
     infos = [SampleInfo(c, bool(i >= n_iter), i, o) for c, i, o in
-             zip(done.ravel().tolist(), iterations.ravel().tolist(),
-                 objective.ravel().tolist())]
+             zip(done.tolist(), iterations.tolist(), objective.tolist())]
     return X, Z, K, infos
 
 
@@ -194,11 +217,13 @@ def _prepare_columns(samples, D: np.ndarray):
     """Split (x, observed_idx) samples into working columns X0 (m, n) and
     their missing-entry mask (m, n).
 
-    Missing entries that are NaN get an initial value (mean of the column's
-    observed entries, or the dictionary's row means when nothing is
-    observed); finite values at missing positions are kept as a warm start.
-    The lengths and indices of all samples are checked at once, and so is
-    the finiteness of the observed values.
+    Missing entries that are NaN get an initial value: the mean of the
+    column's observed entries, summed in row order, or the dictionary's
+    row means when nothing is observed (or the mean overflows).  Finite
+    values at missing positions are kept as a warm start.  The lengths and
+    indices of all samples are checked at once, and so is the finiteness
+    of the observed values.  Indices must be integers (an empty list
+    passes), in [0, m), and distinct within a sample.
     """
     m = D.shape[0]
     xs, idxs = [], []
@@ -207,25 +232,41 @@ def _prepare_columns(samples, D: np.ndarray):
         if x.shape != (m,):
             raise ValueError(
                 f"sample length {x.shape} does not match dictionary rows {m}")
+        idx = np.asarray(idx)
+        if idx.dtype.kind not in "iu" and idx.size:
+            raise ValueError("observed indices must be integers, "
+                             f"not {idx.dtype}")
         xs.append(x)
-        idxs.append(np.asarray(idx, dtype=int))
-    X0 = np.stack(xs, axis=1) if xs else np.empty((m, 0))
-    every = np.concatenate(idxs) if idxs else np.empty(0, dtype=int)
-    if every.size and not (0 <= every.min() and every.max() < m):
+        idxs.append(idx.astype(np.intp, copy=False))
+    n = len(xs)
+    X0 = np.ascontiguousarray(np.array(xs).T) if xs else np.empty((m, 0))
+    every = np.concatenate(idxs) if idxs else np.empty(0, dtype=np.intp)
+    # one max: as unsigned, a negative index is too large
+    if every.size and every.view(np.uintp).max() >= m:
         raise ValueError(f"observed indices must lie in [0, {m})")
-    missing = np.ones(X0.shape, dtype=bool)
-    for j, idx in enumerate(idxs):
-        missing[idx, j] = False
+    counts = np.array([idx.size for idx in idxs], dtype=int)
+    missing = np.ones((m, n), dtype=bool)
+    missing[every, np.arange(n).repeat(counts)] = False
+    if m * n - np.count_nonzero(missing) != every.size:
+        j = np.flatnonzero(m - np.count_nonzero(missing, axis=0) != counts)[0]
+        raise ValueError(f"observed indices of sample {j} repeat")
     bad = ~np.isfinite(X0)
     # count_nonzero costs a fraction of .any() on short arrays
     if np.count_nonzero(bad):
         if np.count_nonzero(bad & ~missing):
             raise ValueError("observed entries must be finite")
-        # every non-finite entry is missing: fill it
-        for j in np.flatnonzero(bad.any(axis=0)):
-            x, need = X0[:, j], bad[:, j]
-            fill = float(np.mean(x[idxs[j]])) if idxs[j].size else math.nan
-            x[need] = fill if math.isfinite(fill) else D.mean(axis=1)[need]
+        # every non-finite entry is missing: fill it with its column's
+        # mean, one reduction per distinct observed count
+        values = X0.T[~missing.T]  # column by column, in row order
+        fill = np.full(n, np.nan)
+        for c in set(counts.tolist()) - {0, m}:
+            cols = counts == c
+            fill[cols] = np.add.reduce(
+                values[cols.repeat(counts)].reshape(-1, c), axis=1) / c
+        np.copyto(X0, fill, where=bad)
+        bad = ~np.isfinite(X0)
+        if np.count_nonzero(bad):
+            np.copyto(X0, D.mean(axis=1)[:, None], where=bad)
     return X0, missing
 
 

@@ -2,15 +2,18 @@
 
 New columns are cut into blocks of a fixed width :data:`BLOCK`; the last
 block is padded with zero columns, which have nothing to move and are
-frozen from the start.  The blocks are stacked, (nb, m, BLOCK), and one run
-of the streaming solver's inner loop completes the whole stack, so each
-iteration's Python cost is paid once per stack, not once per block.  Every
-product in the loop is still one product per block at the block's fixed
-shape, and every sum runs down the columns, so each column is computed by
-the same kernel and summation order whatever its position, its block, its
-neighbours or the number of columns in the call: a column's output is
-bitwise the same alone, in bulk, or in any order.  Products of varying
-width do not guarantee that.
+frozen from the start.  The blocks sit side by side in one (m, n) array,
+and one run of the streaming solver's inner loop completes them all, so
+each iteration's Python cost is paid once per :data:`STACK` columns, not
+once per block.
+Every product in the loop is still one product per block at the block's
+fixed shape (:func:`kfmc.kernels.block_product`), and every sum runs down
+the columns, so each column is computed by the same kernel and summation
+order whatever its position, its block, its neighbours or the number of
+columns in the call: a column's output is bitwise the same alone, in bulk,
+or in any order.  Products of varying width do not guarantee that.  A
+block whose columns have all stopped leaves the loop; a one-block call
+(a single request) runs the loop on that block alone.
 """
 from __future__ import annotations
 
@@ -28,8 +31,10 @@ from .online import (OnlineHyperparams, SampleInfo, _code_system,
 BLOCK = 8
 # Most columns per stack (a multiple of BLOCK); a longer call runs one stack
 # after another, so the loop's temporaries (m or r by STACK) stay bounded.
-# At m = 30, r = 60, stacks of 128 columns or fewer pay more Python overhead
-# per column, and stacks of 1024 or more run slower again.
+# At m = 30, r = 60, a 1024-column call took 0.037 ms per column with
+# stacks of 64, 0.031 with 128 and 0.027-0.028 with 256 to 2048 (CPU time,
+# best of 5 runs of 9 calls, 2-vCPU x86 host, single-threaded OpenBLAS):
+# wider stacks do not pay, since finished blocks leave the loop.
 STACK = 256
 
 
@@ -58,16 +63,17 @@ def complete_new(D: np.ndarray, samples, spec: KernelSpec, beta: float,
 
     The code system of D is built once and the samples are prepared
     together.  They then run the streaming solver's inner loop, minus any
-    dictionary update, as one stack of zero-padded blocks of :data:`BLOCK`
-    columns (per :data:`STACK` columns).  Each product in the loop is one
+    dictionary update, on zero-padded blocks of :data:`BLOCK` columns side
+    by side (per :data:`STACK` columns).  Each product in the loop is one
     BLOCK-wide product per block, so results are bitwise independent of
     batch composition, size and order.  The defaults of n_iter, eta, tau and
     tol are those of :class:`kfmc.online.OnlineHyperparams`: a column stops
     once one iteration changes its missing entries by less than tol relative
     to their norm.  The step contracts the error by about 1/sqrt(2) per
     iteration, so tol = 1e-3 takes about 19 of the 30 iterations (1e-6
-    would need some 40).  A stack iterates until its slowest column stops.
-    A bad beta, tau, eta or n_iter, index or observed value raises ValueError.
+    would need some 40).  A block iterates until its slowest column stops,
+    then leaves the loop.  A bad beta, tau, eta or n_iter, index or
+    observed value raises ValueError; indices must be distinct integers.
     A :class:`NumericalError` names a failing sample in ``sample_index``; an
     indefinite K_DD + beta I raises one up front.
     """
@@ -76,30 +82,27 @@ def complete_new(D: np.ndarray, samples, spec: KernelSpec, beta: float,
     system = _code_system(spec, D, beta)
     X0, missing = _prepare_columns(samples, D)
     m, n = X0.shape
-    out = np.empty((m, n))
+    # zero-padded to whole blocks, which sit side by side
+    width = -(-n // BLOCK) * BLOCK
+    X = np.zeros((m, width))
+    X[:, :n] = X0
+    padded_missing = np.zeros((m, width), dtype=bool)
+    padded_missing[:, :n] = missing
     infos: list[SampleInfo] = []
-    for j0 in range(0, n, STACK):
-        j1 = min(j0 + STACK, n)
+    for j0 in range(0, width, STACK):
+        cols = slice(j0, j0 + STACK)
         try:
-            X, _, _, stack_infos = _complete_block(
-                spec, D, system, _stack(X0[:, j0:j1]),
-                _stack(missing[:, j0:j1]), tau=tau, eta=eta, n_iter=n_iter,
-                tol=tol, alpha=0.0, beta=beta)
+            X_stack, _, _, stack_infos = _complete_block(
+                spec, D, system, np.ascontiguousarray(X[:, cols]),
+                np.ascontiguousarray(padded_missing[:, cols]), tau=tau,
+                eta=eta, n_iter=n_iter, tol=tol, alpha=0.0, beta=beta,
+                block=BLOCK)
         except NumericalError as exc:
             exc.sample_index += j0
             raise
-        out[:, j0:j1] = np.hstack(X.reshape(-1, m, BLOCK))[:, :j1 - j0]
-        infos += stack_infos[:j1 - j0]
+        X[:, cols] = X_stack
+        infos += stack_infos
+    out = np.ascontiguousarray(X[:, :n])
     if return_info:
-        return out, infos
+        return out, infos[:n]
     return out
-
-
-def _stack(A: np.ndarray) -> np.ndarray:
-    """The columns of A (m, c) as a contiguous stack of zero-padded blocks
-    (ceil(c / BLOCK), m, BLOCK)."""
-    m, c = A.shape
-    padded = np.zeros((m, -(-c // BLOCK) * BLOCK), dtype=A.dtype)
-    padded[:, :c] = A
-    blocks = padded.reshape(m, -1, BLOCK).transpose(1, 0, 2)
-    return np.ascontiguousarray(blocks)

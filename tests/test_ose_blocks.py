@@ -160,8 +160,12 @@ def test_prepare_columns_fills_missing_entries_per_column():
 
 
 @pytest.mark.parametrize("fault", ["index-too-large", "index-negative",
-                                   "observed-nan", "observed-inf"])
+                                   "observed-nan", "observed-inf",
+                                   "index-repeated", "index-bool-mask",
+                                   "index-float"])
 def test_prepare_columns_rejects_bad_samples(fault):
+    # a repeated index would weigh its entry twice in the fill; a boolean
+    # mask would be read as the indices 0 and 1, and float indices truncated
     D = _dictionary()
     samples = _samples(5, seed=8)
     x, obs = samples[2]
@@ -170,6 +174,12 @@ def test_prepare_columns_rejects_bad_samples(fault):
         obs = np.append(obs, M)
     elif fault == "index-negative":
         obs = np.append(obs, -1)
+    elif fault == "index-repeated":
+        obs = np.append(obs, obs[0])
+    elif fault == "index-bool-mask":
+        obs = np.isin(np.arange(M), obs)
+    elif fault == "index-float":
+        obs = obs + 0.5
     else:
         x[obs[0]] = np.nan if fault == "observed-nan" else np.inf
     samples[2] = (x, obs)
@@ -181,13 +191,16 @@ def test_prepare_columns_rejects_bad_samples(fault):
 
 @pytest.mark.parametrize("spec", SPECS, ids=["rbf", "poly"])
 def test_kernel_matrix_of_a_stack_equals_each_block_alone(spec):
+    # a stack holds its blocks side by side in one (m, nb * BLOCK) array
     rng = np.random.default_rng(9)
     D = rng.standard_normal((M, R))
-    stack = rng.standard_normal((3, M, BLOCK))
-    K = kernel_matrix(spec, D, stack, column_sq_norms(D))
-    assert K.shape == (3, R, BLOCK)
-    for block, K_block in zip(stack, K):
-        assert np.array_equal(K_block, kernel_matrix(spec, D, block))
+    stack = rng.standard_normal((M, 3 * BLOCK))
+    K = kernel_matrix(spec, D, stack, column_sq_norms(D), block=BLOCK)
+    assert K.shape == (R, 3 * BLOCK)
+    for b in range(3):
+        cols = slice(b * BLOCK, (b + 1) * BLOCK)
+        alone = np.ascontiguousarray(stack[:, cols])
+        assert np.array_equal(K[:, cols], kernel_matrix(spec, D, alone))
 
 
 @pytest.mark.parametrize("bad", [-1, M])
@@ -199,3 +212,25 @@ def test_complete_sample_checks_indices_of_a_public_caller(bad):
     with pytest.raises(ValueError, match="observed indices"):
         complete_sample(OnlineModel(_dictionary()), x, list(obs) + [bad],
                         SPECS[0], hp)
+
+
+@pytest.mark.parametrize("idx", [[True, True, False, True, False, False],
+                                 [0.0, 1.9, 3.7], [0, 0, 0, 1, 3]],
+                         ids=["bool-mask", "float", "repeated"])
+def test_complete_sample_rejects_non_integer_or_repeated_indices(idx):
+    # x = [1, 2, nan, 4, nan, nan] with rows 0, 1 and 3 observed: the mask
+    # would be read as rows [1, 1, 0, 1, 0, 0], the floats as [0, 1, 3],
+    # and [0, 0, 0, 1, 3] would fill 1.8 where [0, 1, 3] fills 7 / 3
+    x = np.array([1.0, 2.0, np.nan, 4.0, np.nan, np.nan])
+    model = OnlineModel(np.random.default_rng(12).standard_normal((6, R)))
+    hp = OnlineHyperparams(r=R, beta=BETA)
+    with pytest.raises(ValueError, match="integers|repeat"):
+        complete_sample(model, x, np.array(idx), SPECS[0], hp)
+
+
+def test_an_empty_index_list_means_nothing_observed():
+    # np.asarray([]) is a float array; an empty list still passes
+    D = _dictionary()
+    X0, missing = _prepare_columns([(np.full(M, np.nan), [])], D)
+    assert missing.all()
+    assert np.array_equal(X0[:, 0], D.mean(axis=1))

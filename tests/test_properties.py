@@ -8,6 +8,10 @@ Stopping by ``tol`` only cuts the run short: a ``fit`` that stops by
 and so has each column of ``complete_new`` with a budget of exactly its
 inner iterations.  ``complete_new`` with eta = 0 at any relaxation gives
 each column the same bits and :class:`SampleInfo` in any column order.
+A missing entry starts at the mean of its column's observed entries, taken
+in row order, so a column's output does not depend on the order of its
+indices.  A bulk call whose blocks stop at different iterations gives each
+column the bits of a single request, in either column order.
 The kernel matrix of drawn points with themselves is exactly symmetric and
 positive semidefinite up to rounding.
 """
@@ -21,6 +25,8 @@ from hypothesis.extra.numpy import arrays
 from kfmc import (KernelSpec, Mask, OfflineHyperparams, OnlineHyperparams,
                   complete_new, fit, impute_init, run_stream)
 from kfmc.kernels import kernel_matrix
+from kfmc.online import _prepare_columns
+from kfmc.ose import BLOCK
 
 SPECS = [KernelSpec.rbf(2.0), KernelSpec.poly(2, 1.0)]
 LONG_STEP_SPECS = [KernelSpec.rbf(2.0), KernelSpec.poly(3, 0.5)]
@@ -131,6 +137,78 @@ def test_guarded_complete_new_is_column_wise_in_any_order(m, n, spec, tau,
                                   **run)
     assert np.array_equal(out_p, out[:, perm])
     assert infos_p == [infos[j] for j in perm]
+
+
+@st.composite
+def shuffled_columns(draw):
+    """Columns (m, n) of values at mixed scales, each with a drawn set of
+    observed rows (none to all) listed in a drawn order."""
+    m = draw(st.integers(1, 40))
+    n = draw(st.integers(1, 6))
+    scale = 10.0 ** draw(arrays(np.int64, (m, n), elements=st.integers(-6, 6)))
+    values = scale * draw(arrays(np.float64, (m, n), elements=st.floats(
+        -1.0, 1.0, allow_nan=False)))
+    samples = []
+    for j in range(n):
+        idx = np.array(draw(st.permutations(range(m)))[:draw(
+            st.integers(0, m))], dtype=int)
+        x = np.full(m, np.nan)
+        x[idx] = values[idx, j]
+        samples.append((x, idx))
+    return samples
+
+
+@SETTINGS
+@given(shuffled_columns())
+def test_fill_is_the_mean_of_the_sorted_observed_entries(samples):
+    m = samples[0][0].size
+    D = np.arange(2.0 * m).reshape(m, 2)
+    X0, missing = _prepare_columns(samples, D)
+    for j, (x, idx) in enumerate(samples):
+        fill = np.mean(x[np.sort(idx)]) if idx.size else D.mean(axis=1)
+        expected = np.where(missing[:, j], fill, x)
+        assert np.array_equal(X0[:, j], expected), j
+
+
+@SETTINGS
+@given(shuffled_columns(), st.sampled_from(SPECS),
+       st.sampled_from([0.0, 0.5]), st.integers(0, 2**32 - 1))
+def test_column_output_ignores_the_order_of_its_indices(samples, spec, eta,
+                                                         seed):
+    m = samples[0][0].size
+    D = np.random.default_rng(seed).standard_normal((m, 3))
+    x, idx = samples[0]
+    run = dict(n_iter=5, eta=eta, return_info=True)
+    out, infos = complete_new(D, [(x, idx)], spec, 0.1, **run)
+    out_s, infos_s = complete_new(D, [(x, np.sort(idx))], spec, 0.1, **run)
+    assert np.array_equal(out, out_s)
+    assert infos == infos_s
+
+
+@settings(SETTINGS, max_examples=25)
+@given(st.integers(4, 9), st.integers(1, 3), st.integers(1, 12),
+       st.sampled_from(LONG_STEP_SPECS), st.sampled_from([0.0, 0.5]),
+       st.integers(0, 2**32 - 1))
+def test_blocks_stopping_apart_match_single_requests(m, slow_blocks, tail,
+                                                     spec, eta, seed):
+    # a fully observed block stops before the first iteration; the blocks
+    # after it stop when their slowest column does, at tol = 1e-3
+    rng = np.random.default_rng(seed)
+    D = rng.standard_normal((m, 5))
+    n = (1 + slow_blocks) * BLOCK + tail
+    values = 2.0 * rng.standard_normal((m, n))
+    observed = rng.random((m, n)) < rng.uniform(0.3, 0.9, n)
+    observed[:, :BLOCK] = True
+    samples = _samples(values, observed)
+    run = dict(n_iter=40, eta=eta, tol=1e-3, return_info=True)
+    out, infos = complete_new(D, samples, spec, 1e-3, **run)
+    rev, rev_infos = complete_new(D, samples[::-1], spec, 1e-3, **run)
+    assert np.array_equal(rev[:, ::-1], out)
+    assert rev_infos[::-1] == infos
+    for j, sample in enumerate(samples):
+        solo, solo_infos = complete_new(D, [sample], spec, 1e-3, **run)
+        assert np.array_equal(solo[:, 0], out[:, j]), j
+        assert solo_infos[0] == infos[j], j
 
 
 @st.composite
