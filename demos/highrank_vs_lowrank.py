@@ -10,9 +10,10 @@ import os
 
 os.environ.setdefault("KFMC_THREADS", "1")
 
-import numpy as np
-
+# kfmc before numpy, so that KFMC_THREADS reaches numpy's BLAS
 import kfmc
+
+import numpy as np
 
 X_true, labels = kfmc.generate(kfmc.SyntheticSpec(d=3, p=3, u=3, m=30,
                                                   n_per=100, seed=1))

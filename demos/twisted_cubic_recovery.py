@@ -12,9 +12,10 @@ import os
 
 os.environ.setdefault("KFMC_THREADS", "1")
 
-import numpy as np
-
+# kfmc before numpy, so that KFMC_THREADS reaches numpy's BLAS
 import kfmc
+
+import numpy as np
 
 X = kfmc.twisted_cubic(100, seed=5)
 print(f"data: 3x100 twisted cubic, numerical rank {kfmc.numerical_rank(X)}")

@@ -5,14 +5,22 @@ live on a low-dimensional nonlinear variety, plus low-rank baselines,
 synthetic benchmark generators, and sampling-rate calculators.
 """
 import os as _os
+import sys as _sys
 
-# Honor KFMC_THREADS before numpy (and its BLAS) is loaded.
+# Honor KFMC_THREADS before numpy (and its BLAS) is loaded.  BLAS reads its
+# variable once, so warn if numpy came first with other thread counts.
 _threads = _os.environ.get("KFMC_THREADS")
 if _threads:
-    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    _blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    _late = [_var for _var in _blas if _os.environ.get(_var) != _threads]
+    if _late and "numpy" in _sys.modules:
+        import warnings as _warnings
+        _warnings.warn(f"KFMC_THREADS={_threads} has no effect: numpy was "
+                       f"imported before kfmc with {', '.join(_late)} unset "
+                       "or different", RuntimeWarning, stacklevel=2)
+    for _var in _blas + ("NUMEXPR_NUM_THREADS",):
         _os.environ.setdefault(_var, _threads)
-del _os, _threads
+del _os, _sys, _threads
 
 from .exceptions import NumericalError
 from .kernels import KernelSpec, eval_kernel, kernel_diag, kernel_matrix, power_weights

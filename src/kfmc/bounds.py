@@ -39,14 +39,9 @@ def feature_space_rank(shape: ProblemShape) -> int:
     return shape.u * comb(shape.d + shape.p * shape.q, shape.p * shape.q)
 
 
-def data_rank_bound(shape: ProblemShape) -> int:
-    """Generic rank bound of the raw data, u * C(d+p, p)."""
-    return shape.u * comb(shape.d + shape.p, shape.p)
-
-
 def expected_rank_X(shape: ProblemShape) -> int:
     """Generic rank of the data matrix: min{m, n, u*C(d+p, p)}."""
-    return min(shape.m, shape.n, data_rank_bound(shape))
+    return min(shape.m, shape.n, shape.u * comb(shape.d + shape.p, shape.p))
 
 
 def expected_rank_phi(shape: ProblemShape) -> int:

@@ -13,10 +13,11 @@ to every consumer through its optional ``kernels`` argument.
 
 All three solvers (batch, streaming and out-of-sample) share this module's
 algebra.  Codes come from one operator, S = (K_DD + beta I)^-1, built by
-:func:`_solve_operator` from a Cholesky factor and applied as one product
-(LAPACK potrs on the factor runs about 6x slower).  A column's objective
-is :func:`_column_objective`, which :func:`objective` sums over the
-columns and the inner loop reports column by column.  The completion
+:func:`_solve_operator` as L^-T L^-1 from the Cholesky factor L and applied
+as one product (solves with the factor run several times slower).  All
+linear algebra is numpy's.  A column's objective is
+:func:`_column_objective`, which :func:`objective` sums over the columns
+and the inner loop reports column by column.  The completion
 update is the column-wise :func:`_sample_step`, a column's gradient over
 the curvature of its frozen-weight model.  For poly both carry the factor
 q = degree, which cancels.  RBF divides by the curvature's magnitude, so it
@@ -29,8 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.linalg.lapack import dpotri
 
 from .exceptions import NumericalError
 from .kernels import (KernelSpec, block_product, kernel_diag, kernel_matrix,
@@ -149,18 +148,20 @@ def _solve_operator(K_DD: np.ndarray, beta: float,
                     what: str = "code solve") -> np.ndarray:
     """The code-solve operator (K_DD + beta I)^-1, exactly symmetric.
 
-    Cholesky factor, then LAPACK potri on it; the strict upper triangle is
-    mirrored from the lower one.  A non-finite or non-positive-definite
-    system raises :class:`NumericalError` with a message starting ``what``.
+    S = L^-T L^-1 from the Cholesky factor L, with the strict upper triangle
+    mirrored from the lower one.  The LU inverse of K_DD + beta I is faster,
+    but its codes miss the Cholesky solve's by 3e-9 relative at r = 256,
+    against 1.2e-10.  Cholesky is the positive-definiteness check; it does
+    not reject NaN, so finiteness is checked first.  A failure raises
+    :class:`NumericalError` with a message starting ``what``.
     """
     r = K_DD.shape[0]
     try:
-        chol, _ = cho_factor(K_DD + beta * np.eye(r), lower=True)
-    except (LinAlgError, ValueError) as exc:
+        L_inv = np.linalg.inv(np.linalg.cholesky(
+            np.asarray_chkfinite(K_DD + beta * np.eye(r))))
+    except (np.linalg.LinAlgError, ValueError) as exc:
         raise NumericalError(f"{what} failed: {exc}") from exc
-    S, info = dpotri(chol, lower=1, overwrite_c=1)
-    if info != 0:
-        raise NumericalError(f"{what} failed: potri info {info}")
+    S = L_inv.T @ L_inv
     np.copyto(S, S.T, where=~np.tri(r, dtype=bool))
     return S
 
@@ -181,9 +182,9 @@ def solve_codes(spec: KernelSpec, X: np.ndarray, D: np.ndarray,
 
 def _dictionary_parts(spec: KernelSpec, X: np.ndarray, D: np.ndarray,
                       Z: np.ndarray, alpha: float, kernels=None):
-    """Dictionary gradient and curvature (r, r) of the columns X with codes Z.
+    """Dictionary gradient and symmetric curvature (r, r) of X with codes Z.
 
-    RBF: the exact gradient of :func:`objective`, curvature not yet
+    RBF: the exact gradient of :func:`objective` and its curvature,
     symmetrized.  Poly: those of the surrogate with the power weights
     W1 = (X'D + c)^(q-1) and W2 = (D'D + c)^(q-1) held fixed; the true
     gradient is ``degree`` times this one.
@@ -204,37 +205,29 @@ def _dictionary_parts(spec: KernelSpec, X: np.ndarray, D: np.ndarray,
     g1 = Q1.sum(axis=0)
     g2 = Q2.sum(axis=0)
     g = (2.0 / s2) * (X @ Q1 - D * g1) + (4.0 / s2) * (D @ Q2 - D * g2)
-    return g, (2.0 / s2) * (2.0 * Q2 - np.diag(g1) - 2.0 * np.diag(g2))
-
-
-def _solve_right(G: np.ndarray, M: np.ndarray, *, spd: bool) -> np.ndarray:
-    """Return G @ M^{-1} for symmetric M: Cholesky if SPD, else LU.
-
-    LU on the symmetric M is faster here than a symmetric-indefinite solve;
-    it does not check finiteness, so that is done first.
-    """
-    try:
-        if spd:
-            return cho_solve(cho_factor(M, lower=True), G.T).T
-        return np.linalg.solve(np.asarray_chkfinite(M),
-                               np.asarray_chkfinite(G.T)).T
-    except (LinAlgError, ValueError) as exc:
-        raise NumericalError(f"Newton scaling solve failed: {exc}") from exc
+    H = (2.0 / s2) * (2.0 * Q2 - np.diag(g1) - 2.0 * np.diag(g2))
+    return g, 0.5 * (H + H.T)
 
 
 def dictionary_step(spec: KernelSpec, X: np.ndarray, D: np.ndarray,
                     Z: np.ndarray, alpha: float, tau: float,
                     kernels=None) -> np.ndarray:
     """Relaxed Newton increment for the dictionary (D moves by -step): the
-    gradient of :func:`_dictionary_parts` over its damped curvature."""
+    gradient of :func:`_dictionary_parts` over its damped curvature H, by LU
+    (numpy runs the triangular solves of a Cholesky factor as general ones,
+    so they are no faster).  The poly H must be positive definite."""
     r = D.shape[1]
     g, H = _dictionary_parts(spec, X, D, Z, alpha, kernels)
     if not np.any(g):
         return np.zeros_like(D)
-    if spec.is_rbf:
-        H = 0.5 * (H + H.T)
     H = H + (1e-8 * abs(np.trace(H)) / r) * np.eye(r)
-    step = (1.0 / tau) * _solve_right(g, H, spd=spec.is_poly)
+    try:
+        H, g = np.asarray_chkfinite(H), np.asarray_chkfinite(g)
+        if spec.is_poly:
+            np.linalg.cholesky(H)  # raises unless H is positive definite
+        step = (1.0 / tau) * np.linalg.solve(H, g.T).T
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise NumericalError(f"Newton scaling solve failed: {exc}") from exc
     if not np.all(np.isfinite(step)):
         raise NumericalError("dictionary step produced non-finite values")
     return step

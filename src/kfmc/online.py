@@ -299,7 +299,10 @@ def update_dictionary(model: OnlineModel, x_completed: np.ndarray,
     D = model.dictionary
     grad, curvature = _dictionary_parts(spec, x_completed[:, None], D,
                                         z[:, None], hp.alpha, kernels)
-    step = grad / (hp.tau * max(np.linalg.norm(curvature, 2), EPS_NORM))
+    # ||H||_2 of the symmetric curvature is its largest |eigenvalue|; an
+    # eigvalsh costs less than the SVD behind np.linalg.norm(H, 2)
+    eigs = np.linalg.eigvalsh(curvature)
+    step = grad / (hp.tau * max(-eigs[0], eigs[-1], EPS_NORM))
     model.dict_momentum = hp.eta * model.dict_momentum + step
     model.dictionary = D - model.dict_momentum
     if not np.all(np.isfinite(model.dictionary)):

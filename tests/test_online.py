@@ -172,6 +172,28 @@ def test_update_dictionary_sufficient_decrease_poly():
         assert dec <= bound + 1e-8
 
 
+@pytest.mark.parametrize("case", ["negative-dominant", "random-symmetric"])
+def test_update_dictionary_scales_by_spectral_norm(monkeypatch, rng, case):
+    # the step is grad / (tau ||H||_2) also when the curvature's
+    # largest-magnitude eigenvalue is negative
+    r = 3
+    curvatures = [np.diag([-3.0, 1.0, 2.0])]
+    if case == "random-symmetric":
+        curvatures = [A + A.T for A in rng.standard_normal((20, r, r))]
+    hp = OnlineHyperparams(r=r, tau=2.0, eta=0.0, seed=0)
+    for H in curvatures:
+        grad = rng.standard_normal((5, r))
+        monkeypatch.setattr(online, "_dictionary_parts",
+                            lambda *args, **kwargs: (grad, H.copy()))
+        model = OnlineModel(rng.standard_normal((5, r)))
+        update_dictionary(model, rng.standard_normal(5),
+                          rng.standard_normal(r), KernelSpec.rbf(1.0), hp)
+        expected = grad / (hp.tau * np.linalg.norm(H, 2))
+        # with eta = 0 the momentum buffer holds the step itself
+        assert (np.linalg.norm(model.dict_momentum - expected)
+                <= 1e-12 * np.linalg.norm(expected))
+
+
 def test_update_dictionary_rbf_runs_and_descends(rng):
     spec = KernelSpec.rbf(1.5)
     D = rng.standard_normal((5, 4))
