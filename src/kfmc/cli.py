@@ -145,8 +145,12 @@ def _kernel_from_args(args, kind, data, mask) -> KernelSpec:
         return KernelSpec.poly(degree=args.degree, offset=args.offset)
     if args.sigma is not None:
         return KernelSpec.rbf(sigma=args.sigma)
-    return KernelSpec.rbf(
-        sigma=args.sigma_mult * _mean_distance(data, mask, args.seed))
+    dbar = _mean_distance(data, mask, args.seed)
+    if dbar == 0:
+        raise ValueError("the mean distance between the sampled columns is 0, "
+                         "so the RBF bandwidth heuristic gives sigma = 0; "
+                         "set --sigma")
+    return KernelSpec.rbf(sigma=args.sigma_mult * dbar)
 
 
 def _default_r(spec, m) -> int:

@@ -73,14 +73,14 @@ def generate(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
     """
     rng = np.random.default_rng(spec.seed)
     nf = feature_count(spec.d, spec.p, spec.include_constant)
-    blocks = []
-    labels = []
+    # each block is written in place, so the matrix is held once
+    X = np.empty((spec.m, spec.n))
     for k in range(spec.u):
         P = rng.standard_normal((spec.m, nf))
         S = rng.uniform(0.0, 1.0, size=(spec.d, spec.n_per))
-        blocks.append(P @ poly_features(S, spec.p, spec.include_constant))
-        labels.extend([k] * spec.n_per)
-    return np.hstack(blocks), np.array(labels)
+        cols = slice(k * spec.n_per, (k + 1) * spec.n_per)
+        np.matmul(P, poly_features(S, spec.p, spec.include_constant), out=X[:, cols])
+    return X, np.repeat(np.arange(spec.u), spec.n_per)
 
 
 def twisted_cubic(n: int, seed: int = 0) -> np.ndarray:

@@ -17,14 +17,28 @@ from .metrics import relative_error
 from .offline import OfflineHyperparams, OfflineModel, fit
 
 
+PAIR_BLOCK = 64
+
+
 def mean_pairwise_distance(X: np.ndarray, max_pairs: int = 1000,
                            seed: int | None = 0) -> float:
     """Mean Euclidean distance between random column pairs.
 
     Exhaustive for small matrices; otherwise a seeded sample of at most
-    ``max_pairs`` pairs.  Callers should pass an imputed (NaN-free) matrix.
+    ``max_pairs`` pairs.  Callers should pass an imputed (NaN-free) matrix:
+    a mean that is not finite raises ``ValueError``.
+
+    The distances are taken ``PAIR_BLOCK`` pairs at a time, so the memory is
+    O(m * PAIR_BLOCK).  The block does not change the bits: each distance is
+    ``sqrt(add.reduce(diff * diff, axis=0))`` of its own column, as
+    ``np.linalg.norm(diff, axis=0)`` computes it, whatever its neighbours.
     """
     X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"X must be 2-d, got {X.ndim}-d")
+    if (isinstance(max_pairs, bool) or not isinstance(max_pairs, (int, np.integer))
+            or max_pairs < 1):
+        raise ValueError(f"max_pairs must be an integer >= 1, got {max_pairs!r}")
     n = X.shape[1]
     if n < 2:
         raise ValueError("need at least two columns")
@@ -39,7 +53,15 @@ def mean_pairwise_distance(X: np.ndarray, max_pairs: int = 1000,
         while clash.any():
             j[clash] = rng.integers(0, n, size=int(clash.sum()))
             clash = i == j
-    return float(np.mean(np.linalg.norm(X[:, i] - X[:, j], axis=0)))
+    dist = np.empty(i.size)
+    for b in range(0, i.size, PAIR_BLOCK):
+        diff = X[:, i[b:b + PAIR_BLOCK]] - X[:, j[b:b + PAIR_BLOCK]]
+        dist[b:b + PAIR_BLOCK] = np.sqrt(np.add.reduce(diff * diff, axis=0))
+    mean = float(np.mean(dist))
+    if not np.isfinite(mean):
+        raise ValueError(f"mean pairwise distance is not finite ({mean}): "
+                         "pass an imputed, finite X")
+    return mean
 
 
 def dictionary_sizes(m: int) -> list[int]:

@@ -5,7 +5,7 @@ import pytest
 
 from kfmc.checkpoint import load_checkpoint, save_checkpoint
 from kfmc.cli import main
-from kfmc.dataio import read_json, read_mask_csv, read_matrix_csv
+from kfmc.dataio import read_json, read_mask_csv, read_matrix_csv, write_matrix_csv
 from kfmc.offline import OfflineHyperparams
 from kfmc.online import OnlineHyperparams
 
@@ -356,6 +356,19 @@ def test_collapsed_sigma_exits_3(union_dir, tmp_path):
     assert (tmp_path / "s" / "trace.csv").exists()
     assert (tmp_path / "s" / "trace.csv").read_text() == \
         "t,empirical_cost,empirical_error\n"
+
+
+@pytest.mark.parametrize("command", ["complete", "stream"])
+def test_identical_columns_name_the_bandwidth_heuristic(tmp_path, capsys, command):
+    # without --sigma the RBF width is the mean column distance, 0 here;
+    # the message names the heuristic, not a --sigma the user never passed
+    same = tmp_path / "same.csv"
+    write_matrix_csv(same, np.tile(np.arange(1.0, 6.0)[:, None], (1, 20)))
+    assert run(command, "--data", same, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "mean distance between the sampled columns is 0" in err
+    assert "set --sigma" in err
+    assert "rbf sigma must be finite" not in err
 
 
 @pytest.fixture(scope="module")

@@ -49,6 +49,34 @@ def test_generate_ranks(d, p, u, m, n_per, rank):
     assert numerical_rank(X, 1e-8) == rank
 
 
+def _generate_by_hstack(spec):
+    """Reference: one product per subspace, joined with np.hstack."""
+    rng = np.random.default_rng(spec.seed)
+    nf = feature_count(spec.d, spec.p, spec.include_constant)
+    blocks, labels = [], []
+    for k in range(spec.u):
+        P = rng.standard_normal((spec.m, nf))
+        S = rng.uniform(0.0, 1.0, size=(spec.d, spec.n_per))
+        blocks.append(P @ poly_features(S, spec.p, spec.include_constant))
+        labels.extend([k] * spec.n_per)
+    return np.hstack(blocks), np.array(labels)
+
+
+@pytest.mark.parametrize("d,p,u,m,n_per,include_constant", [
+    (3, 3, 1, 30, 100, False), (3, 3, 3, 30, 100, True), (2, 2, 5, 7, 1, False),
+    (1, 4, 2, 1, 9, True), (4, 2, 3, 257, 33, False), (3, 3, 1, 1024, 316, False),
+])
+def test_generate_in_place_matches_hstack_bitwise(d, p, u, m, n_per,
+                                                  include_constant):
+    spec = SyntheticSpec(d=d, p=p, u=u, m=m, n_per=n_per, seed=11,
+                         include_constant=include_constant)
+    X, labels = generate(spec)
+    X_ref, labels_ref = _generate_by_hstack(spec)
+    assert X.dtype == X_ref.dtype and labels.dtype == labels_ref.dtype
+    assert np.array_equal(X.view(np.uint64), X_ref.view(np.uint64))
+    assert np.array_equal(labels, labels_ref)
+
+
 def test_generate_reproducible():
     spec = SyntheticSpec(d=2, p=2, u=2, m=10, n_per=20, seed=3)
     X1, _ = generate(spec)
