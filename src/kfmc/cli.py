@@ -133,11 +133,15 @@ def _samples(data, mask: Mask) -> list:
     return [(masked[:, j], mask.column_split(j)[0]) for j in range(mask.n)]
 
 
-def _mean_distance(data, mask: Mask, seed) -> float:
+def _mean_distance(data, mask: Mask, seed, if_zero: str) -> float:
     # the bandwidth heuristic and the --grid widths always measure the
     # row-mean-imputed matrix, independent of complete's --init
     reference = impute_init(data, mask, strategy="row_mean")
-    return mean_pairwise_distance(reference.completion, seed=seed)
+    dbar = mean_pairwise_distance(reference.completion, seed=seed)
+    if dbar == 0:
+        raise ValueError("the mean distance between the sampled columns is 0, "
+                         f"so {if_zero}")
+    return dbar
 
 
 def _kernel_from_args(args, kind, data, mask) -> KernelSpec:
@@ -145,11 +149,8 @@ def _kernel_from_args(args, kind, data, mask) -> KernelSpec:
         return KernelSpec.poly(degree=args.degree, offset=args.offset)
     if args.sigma is not None:
         return KernelSpec.rbf(sigma=args.sigma)
-    dbar = _mean_distance(data, mask, args.seed)
-    if dbar == 0:
-        raise ValueError("the mean distance between the sampled columns is 0, "
-                         "so the RBF bandwidth heuristic gives sigma = 0; "
-                         "set --sigma")
+    dbar = _mean_distance(data, mask, args.seed, "the RBF bandwidth "
+                          "heuristic gives sigma = 0; set --sigma")
     return KernelSpec.rbf(sigma=args.sigma_mult * dbar)
 
 
@@ -236,7 +237,8 @@ def cmd_complete(args) -> int:
             if truth is None:
                 raise ValueError("--grid requires ground truth "
                                  "(fully observed --data or --truth)")
-            dbar = _mean_distance(data, mask, args.seed)
+            dbar = _mean_distance(data, mask, args.seed, "--grid has no "
+                                  "RBF widths (multiples of it) to try")
             candidates = poly_candidates(m) + rbf_candidates(m, dbar)
             best, entries = best_offline(mm, truth, candidates, seed=args.seed)
             spec, hp, model = best.spec, best.hp, best.model

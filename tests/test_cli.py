@@ -371,6 +371,20 @@ def test_identical_columns_name_the_bandwidth_heuristic(tmp_path, capsys, comman
     assert "rbf sigma must be finite" not in err
 
 
+def test_grid_on_identical_columns_names_the_grid(tmp_path, capsys):
+    # the grid's RBF widths are multiples of the mean column distance, 0
+    # here; the grid ignores --sigma, so the message must not suggest it
+    same = tmp_path / "same.csv"
+    write_matrix_csv(same, np.tile(np.arange(1.0, 6.0)[:, None], (1, 20)))
+    assert run("complete", "--data", same, "--grid",
+               "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "mean distance between the sampled columns is 0" in err
+    assert "--grid" in err
+    assert "--sigma" not in err
+    assert "rbf sigma must be finite" not in err
+
+
 @pytest.fixture(scope="module")
 def trained_model(union_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("trained")
