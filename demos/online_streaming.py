@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Streaming completion: one column at a time, model state O(m*r + r^2).
+"""Streaming completion in blocks of two columns, model state O(m*r + r^2).
 
-The dictionary learns as columns arrive; re-passing the stream refines both
-the dictionary and the stored completions.  The running empirical cost and
-recovery error drop pass over pass.
+The dictionary learns as columns arrive, one step per block of two
+consecutive columns; re-passing the stream refines both the dictionary and
+the stored completions.  The running empirical cost and recovery error drop
+pass over pass.
 """
 import os
 

@@ -1,17 +1,19 @@
-"""Streaming completion: per-sample inference plus SGD dictionary updates.
+"""Streaming completion: block inference plus SGD dictionary updates.
 
-Each incoming column is completed by alternating an exact code solve with a
-relaxed Newton step on its unobserved entries, after which the dictionary
-takes one gradient step scaled by the spectral norm of the local curvature.
-The step, the per-column objective and the code solve are the batch
-solver's (:mod:`kfmc.offline`), so all three solvers share one algebra.
-Model state is O(m*r + r^2), except ``cost_trace`` / ``err_trace``, which
-gain one entry per visit; :func:`run_stream` also holds the (m, n) stream.
+Each block of :data:`BATCH` columns is completed by alternating an exact
+code solve with a relaxed Newton step on its unobserved entries; then the
+dictionary takes one gradient step over the spectral norm of the block's
+curvature divided by sqrt(b) (mini-batches as in arXiv:0908.0050, the
+sqrt(b) rule of arXiv:1404.5997).  The step, the per-column objective and
+the code solve are the batch solver's (:mod:`kfmc.offline`), so all three
+solvers share one algebra.  Model state is O(m*r + r^2), except
+``cost_trace`` / ``err_trace``, which gain one entry per visit;
+:func:`run_stream` also holds the (m, n) stream.
 
 One inner loop, :func:`_complete_block`, serves the streaming and the
 out-of-sample solvers.  It works on an (m, n) array of columns, taken as
 one block or as blocks of a fixed width side by side: the stream calls it
-with one block of one column, :func:`kfmc.ose.complete_new` with
+with one block of at most BATCH columns, :func:`kfmc.ose.complete_new` with
 zero-padded blocks of a fixed width.  Each step is a column-wise array
 operation or a product that runs once per block at the block's fixed shape
 (:func:`kfmc.kernels.block_product`), and a finished column is frozen, so
@@ -36,6 +38,8 @@ from .offline import (_check_settings, _column_objective, _dictionary_parts,
 
 # Floor for the spectral-norm scaling of the dictionary update.
 EPS_NORM = 1e-12
+# Columns per block of the stream, which runs one inner loop and one step.
+BATCH = 2
 
 
 @dataclass
@@ -213,17 +217,18 @@ def _complete_block(spec: KernelSpec, D: np.ndarray, system, X: np.ndarray,
     return X, Z, K, infos
 
 
-def _prepare_columns(samples, D: np.ndarray):
+def _prepare_columns(samples, D: np.ndarray, prior: bool = True):
     """Split (x, observed_idx) samples into working columns X0 (m, n) and
     their missing-entry mask (m, n).
 
     Missing entries that are NaN get an initial value: the mean of the
     column's observed entries, summed in row order, or the dictionary's
-    row means when nothing is observed (or the mean overflows).  Finite
-    values at missing positions are kept as a warm start.  The lengths and
-    indices of all samples are checked at once, and so is the finiteness
-    of the observed values.  Indices must be integers (an empty list
-    passes), in [0, m), and distinct within a sample.
+    row means (with ``prior``, else NaN) when nothing is observed or the
+    mean overflows.  Finite values at missing positions are kept as a warm
+    start.  The lengths and indices of all samples are checked at once,
+    and so is the finiteness of the observed values.  Indices must be
+    integers (an empty list passes), in [0, m), and distinct within a
+    sample.
     """
     m = D.shape[0]
     xs, idxs = [], []
@@ -265,7 +270,7 @@ def _prepare_columns(samples, D: np.ndarray):
                 values[cols.repeat(counts)].reshape(-1, c), axis=1) / c
         np.copyto(X0, fill, where=bad)
         bad = ~np.isfinite(X0)
-        if np.count_nonzero(bad):
+        if prior and np.count_nonzero(bad):
             np.copyto(X0, D.mean(axis=1)[:, None], where=bad)
     return X0, missing
 
@@ -293,16 +298,19 @@ def complete_sample(model: OnlineModel, x: np.ndarray, observed_idx: np.ndarray,
 def update_dictionary(model: OnlineModel, x_completed: np.ndarray,
                       z: np.ndarray, spec: KernelSpec,
                       hp: OnlineHyperparams, kernels=None) -> None:
-    """One SGD step on the dictionary for a completed sample (in place): the
-    batch gradient and curvature of one column, whose (K_XD, K_DD) are
-    ``kernels`` when :func:`complete_sample` returned them."""
+    """One SGD step on the dictionary (in place) for a completed column (m,)
+    with its code (r,), or a block (m, b) with codes (r, b), whose (K_XD,
+    K_DD) are ``kernels`` if given: the batch gradient over tau ||H||_2 /
+    sqrt(b), H the batch curvature (at b = 1, dividing by 1.0 is exact)."""
     D = model.dictionary
-    grad, curvature = _dictionary_parts(spec, x_completed[:, None], D,
-                                        z[:, None], hp.alpha, kernels)
+    X = x_completed if x_completed.ndim > 1 else x_completed[:, None]
+    Z = z if z.ndim > 1 else z[:, None]
+    grad, curvature = _dictionary_parts(spec, X, D, Z, hp.alpha, kernels)
     # ||H||_2 of the symmetric curvature is its largest |eigenvalue|; an
     # eigvalsh costs less than the SVD behind np.linalg.norm(H, 2)
     eigs = np.linalg.eigvalsh(curvature)
-    step = grad / (hp.tau * max(-eigs[0], eigs[-1], EPS_NORM))
+    step = grad / (hp.tau * max(-eigs[0], eigs[-1], EPS_NORM)
+                   / np.sqrt(X.shape[1]))
     model.dict_momentum = hp.eta * model.dict_momentum + step
     model.dictionary = D - model.dict_momentum
     if not np.all(np.isfinite(model.dictionary)):
@@ -312,7 +320,8 @@ def update_dictionary(model: OnlineModel, x_completed: np.ndarray,
 def run_stream(samples, spec: KernelSpec, hp: OnlineHyperparams,
                ground_truth: np.ndarray | None = None,
                model: OnlineModel | None = None):
-    """Process a stream of (x, observed_idx) pairs, optionally multi-pass.
+    """Process a stream of (x, observed_idx) pairs, optionally multi-pass,
+    in blocks of :data:`BATCH` columns (the last may be narrower).
 
     Between passes each column keeps its latest completion as the warm
     start.  Tracks the running empirical cost (mean of each sample's most
@@ -320,10 +329,12 @@ def run_stream(samples, spec: KernelSpec, hp: OnlineHyperparams,
     running mean relative recovery error per visit.  The model totals the
     inner-loop iterations and the samples that hit ``n_iter``.
 
-    The whole stream, and the shape (m, n) of ``ground_truth``, is checked
-    before the first update, so bad input raises ValueError with ``model``
-    untouched.  A column's missing entries
-    are filled on its first visit, from the dictionary of that time.
+    The whole stream and ``ground_truth`` (shape (m, n), finite) are
+    checked before the first update, so bad input raises ValueError with
+    ``model`` untouched.  A column with nothing observed is filled on its
+    first visit, from the dictionary of that time.  A NumericalError
+    carries ``model`` and names the failed column (the block's first when
+    the dictionary step failed).
 
     Returns the completed matrix in stream order and the model.
     """
@@ -333,41 +344,52 @@ def run_stream(samples, spec: KernelSpec, hp: OnlineHyperparams,
     if model is None:
         rng = np.random.default_rng(hp.seed)
         model = OnlineModel(rng.standard_normal((np.size(samples[0][0]), hp.r)))
-    X0, missing = _prepare_columns(samples, model.dictionary)
-    if ground_truth is not None and np.shape(ground_truth) != X0.shape:
+    work, missing = _prepare_columns(samples, model.dictionary, prior=False)
+    if ground_truth is not None and np.shape(ground_truth) != work.shape:
         raise ValueError(f"ground_truth shape {np.shape(ground_truth)} does "
-                         f"not match the stream's {X0.shape}")
-    work = np.where(missing, np.nan, X0)
+                         f"not match the stream's {work.shape}")
+    if ground_truth is not None and not np.all(np.isfinite(ground_truth)):
+        raise ValueError("ground_truth must be finite")
     last_cost = np.full(len(samples), np.nan)
     cost_sum = 0.0
     seen = 0
     err_sum = 0.0
     visits = 0
     for _ in range(hp.n_pass):
-        for j, (_, obs_idx) in enumerate(samples):
+        for start in range(0, len(samples), BATCH):
+            cols = slice(start, start + BATCH)
+            D = model.dictionary
+            X = np.ascontiguousarray(work[:, cols])
+            bad = ~np.isfinite(X)  # only before a column's first visit
+            if np.count_nonzero(bad):
+                np.copyto(X, D.mean(axis=1)[:, None], where=bad)
             try:
-                x_hat, z, info, kernels = complete_sample(
-                    model, work[:, j], obs_idx, spec, hp, return_kernels=True)
-                update_dictionary(model, x_hat, z, spec, hp, kernels)
+                system = _code_system(spec, D, hp.beta)
+                X, Z, K, infos = _complete_block(
+                    spec, D, system, X, missing[:, cols], tau=hp.tau,
+                    eta=hp.eta, n_iter=hp.n_iter, tol=hp.tol, alpha=hp.alpha,
+                    beta=hp.beta)
+                update_dictionary(model, X, Z, spec, hp, (K.T, system[0]))
             except NumericalError as exc:
-                exc.sample_index = j
+                exc.sample_index = start + (exc.sample_index or 0)
                 exc.model = model
                 raise
-            work[:, j] = x_hat
-            model.samples_seen += 1
-            model.inner_iterations += info.iterations
-            model.samples_hit_iter_limit += info.hit_iter_limit
-            if np.isnan(last_cost[j]):
-                seen += 1
-                cost_sum += info.objective
-            else:
-                cost_sum += info.objective - last_cost[j]
-            last_cost[j] = info.objective
-            model.cost_trace.append(cost_sum / seen)
-            if ground_truth is not None:
-                truth = ground_truth[:, j]
-                visits += 1
-                err_sum += np.linalg.norm(truth - x_hat) / max(
-                    np.linalg.norm(truth), 1e-30)
-                model.err_trace.append(err_sum / visits)
+            work[:, cols] = X
+            for j, info in enumerate(infos, start):
+                model.samples_seen += 1
+                model.inner_iterations += info.iterations
+                model.samples_hit_iter_limit += info.hit_iter_limit
+                if np.isnan(last_cost[j]):
+                    seen += 1
+                    cost_sum += info.objective
+                else:
+                    cost_sum += info.objective - last_cost[j]
+                last_cost[j] = info.objective
+                model.cost_trace.append(cost_sum / seen)
+                if ground_truth is not None:
+                    truth = ground_truth[:, j]
+                    visits += 1
+                    err_sum += np.linalg.norm(truth - X[:, j - start]) / max(
+                        np.linalg.norm(truth), 1e-30)
+                    model.err_trace.append(err_sum / visits)
     return work, model

@@ -279,9 +279,9 @@ def test_stream_reports_inner_loops(union_dir, tmp_path):
     out = tmp_path / "s"
     assert run("stream", "--data", union_dir / "data.csv",
                "--mask", union_dir / "mask.csv", "--passes", 2, "--r", 10,
-               "--n-iter", 5, "--seed", 0, "--out", out) == 0
+               "--n-iter", 5, "--tol", 0, "--seed", 0, "--out", out) == 0
     report = load_report(out)
-    # every one of the 2 x 100 visits runs into the cap of 5
+    # at tol 0 every one of the 2 x 100 visits runs into the cap of 5
     assert report["mean_inner_iterations"] == 5.0
     assert report["samples_hit_iter_limit"] == 200
     assert report["iterations"] == 200

@@ -5,10 +5,11 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 
-from kfmc import (KernelSpec, OnlineHyperparams, OnlineModel, SyntheticSpec,
-                  complete_sample, generate, mean_pairwise_distance,
-                  impute_init, random_mask, relative_error, run_stream,
-                  sample_objective, update_dictionary)
+from kfmc import (KernelSpec, NumericalError, OnlineHyperparams, OnlineModel,
+                  SyntheticSpec, complete_sample, generate,
+                  mean_pairwise_distance, impute_init, random_mask,
+                  relative_error, run_stream, sample_objective,
+                  update_dictionary)
 from kfmc.kernels import kernel_matrix, power_weights
 from kfmc import online
 from kfmc.ose import complete_new
@@ -185,13 +186,18 @@ def test_update_dictionary_scales_by_spectral_norm(monkeypatch, rng, case):
         grad = rng.standard_normal((5, r))
         monkeypatch.setattr(online, "_dictionary_parts",
                             lambda *args, **kwargs: (grad, H.copy()))
-        model = OnlineModel(rng.standard_normal((5, r)))
-        update_dictionary(model, rng.standard_normal(5),
-                          rng.standard_normal(r), KernelSpec.rbf(1.0), hp)
-        expected = grad / (hp.tau * np.linalg.norm(H, 2))
-        # with eta = 0 the momentum buffer holds the step itself
-        assert (np.linalg.norm(model.dict_momentum - expected)
-                <= 1e-12 * np.linalg.norm(expected))
+        # one column (m,), then blocks (m, b) whose step grows by sqrt(b)
+        for b in (None, 1, 2, 5):
+            shape = () if b is None else (b,)
+            model = OnlineModel(rng.standard_normal((5, r)))
+            update_dictionary(model, rng.standard_normal((5, *shape)),
+                              rng.standard_normal((r, *shape)),
+                              KernelSpec.rbf(1.0), hp)
+            expected = grad / (hp.tau * np.linalg.norm(H, 2)
+                               / np.sqrt(b or 1))
+            # with eta = 0 the momentum buffer holds the step itself
+            assert (np.linalg.norm(model.dict_momentum - expected)
+                    <= 1e-12 * np.linalg.norm(expected))
 
 
 def test_update_dictionary_rbf_runs_and_descends(rng):
@@ -305,6 +311,38 @@ def test_online_path_memory_stays_model_sized(rng):
     assert peak_inside <= budget_bytes
 
 
+def test_block_step_memory_stays_model_sized(rng):
+    # one block of the stream (a run_stream call on BATCH columns with a
+    # given model) allocates within a small multiple of m*r + r^2 + m*b
+    m, r, n = 40, 10, 1500
+    b = online.BATCH
+    model = OnlineModel(rng.standard_normal((m, r)))
+    spec = KernelSpec.rbf(3.0)
+    hp = OnlineHyperparams(r=r, alpha=0.1, beta=1e-3, eta=0.5, n_iter=5,
+                           seed=0)
+    budget_bytes = 100 * (m * r + r * r + m * b) * 8
+    assert budget_bytes < n * m * 8
+    peak_inside = 0
+    tracemalloc.start()
+    try:
+        for _ in range(n // b):
+            block = []
+            for _ in range(b):
+                x = rng.standard_normal(m)
+                obs = rng.choice(m, size=25, replace=False)
+                xs = np.full(m, np.nan)
+                xs[obs] = x[obs]
+                block.append((xs, obs))
+            tracemalloc.reset_peak()
+            run_stream(block, spec, hp, model=model)
+            _, peak = tracemalloc.get_traced_memory()
+            peak_inside = max(peak_inside, peak)
+    finally:
+        tracemalloc.stop()
+    assert model.samples_seen == n - n % b
+    assert peak_inside <= budget_bytes
+
+
 def test_sample_length_mismatch(rng):
     model = OnlineModel(rng.standard_normal((4, 2)))
     hp = OnlineHyperparams(r=2, seed=0)
@@ -326,14 +364,14 @@ def test_out_of_range_observed_index_rejected(bad):
 
 def test_run_stream_totals_each_sample_inner_loop(monkeypatch):
     infos = []
-    real = online.complete_sample
+    real = online._complete_block
 
     def recorded(*args, **kwargs):
         result = real(*args, **kwargs)
-        infos.append(result[2])
+        infos.extend(result[3])
         return result
 
-    monkeypatch.setattr(online, "complete_sample", recorded)
+    monkeypatch.setattr(online, "_complete_block", recorded)
     X_true, mask, samples = _stream_instance(n=40)
     hp = OnlineHyperparams(r=20, beta=1e-3, eta=0.0, n_iter=8, n_pass=2,
                            tol=1e-3, seed=0)
@@ -387,3 +425,153 @@ def test_mis_shaped_ground_truth_leaves_model_untouched(rng, shape):
     assert model.samples_seen == 7
     assert np.array_equal(model.dictionary, D)
     assert not model.dict_momentum.any() and model.cost_trace == []
+
+
+def test_non_finite_ground_truth_leaves_model_untouched(rng):
+    # a NaN in the truth would turn every later err_trace entry into NaN
+    D = rng.standard_normal((6, 3))
+    model = OnlineModel(D)
+    samples = []
+    for _ in range(10):
+        x = rng.standard_normal(6)
+        x[[1, 4]] = np.nan
+        samples.append((x, [0, 2, 3, 5]))
+    for bad in (np.nan, np.inf):
+        truth = rng.standard_normal((6, 10))
+        truth[1, 3] = bad
+        with pytest.raises(ValueError, match="ground_truth must be finite"):
+            run_stream(samples, KernelSpec.rbf(1.0),
+                       OnlineHyperparams(r=3, n_iter=5, seed=0),
+                       ground_truth=truth, model=model)
+        assert model.samples_seen == 0
+        assert np.array_equal(model.dictionary, D)
+        assert not model.dict_momentum.any() and model.cost_trace == []
+
+
+def _reference_stream(samples, spec, hp, truth):
+    """The stream as one complete_sample and one update_dictionary per
+    column, with run_stream's running cost and error."""
+    m = len(samples[0][0])
+    model = OnlineModel(
+        np.random.default_rng(hp.seed).standard_normal((m, hp.r)))
+    work = np.array([x for x, _ in samples], dtype=float).T
+    last = np.full(len(samples), np.nan)
+    cost_sum, seen, err_sum, visits = 0.0, 0, 0.0, 0
+    for _ in range(hp.n_pass):
+        for j, (_, obs) in enumerate(samples):
+            x_hat, z, info, kernels = complete_sample(
+                model, work[:, j], obs, spec, hp, return_kernels=True)
+            update_dictionary(model, x_hat, z, spec, hp, kernels)
+            work[:, j] = x_hat
+            if np.isnan(last[j]):
+                seen += 1
+                cost_sum += info.objective
+            else:
+                cost_sum += info.objective - last[j]
+            last[j] = info.objective
+            model.cost_trace.append(cost_sum / seen)
+            visits += 1
+            err_sum += np.linalg.norm(truth[:, j] - x_hat) / max(
+                np.linalg.norm(truth[:, j]), 1e-30)
+            model.err_trace.append(err_sum / visits)
+    return work, model
+
+
+@pytest.mark.parametrize("spec", [KernelSpec.rbf(2.5),
+                                  KernelSpec.poly(2, 1.0)],
+                         ids=["rbf", "poly"])
+@pytest.mark.parametrize("eta", [0.5, 0.0])
+def test_blocks_of_one_column_are_the_per_sample_stream(monkeypatch, spec,
+                                                        eta):
+    X_true, _, samples = _stream_instance(n=30)
+    samples[4] = (np.full(30, np.nan), np.array([], dtype=int))
+    hp = OnlineHyperparams(r=12, beta=1e-3, eta=eta, n_iter=10, n_pass=2,
+                           seed=3)
+    monkeypatch.setattr(online, "BATCH", 1)
+    out, model = run_stream(samples, spec, hp, ground_truth=X_true)
+    ref_out, ref = _reference_stream(samples, spec, hp, X_true)
+    assert np.array_equal(out, ref_out)
+    assert np.array_equal(model.dictionary, ref.dictionary)
+    assert np.array_equal(model.dict_momentum, ref.dict_momentum)
+    assert model.cost_trace == ref.cost_trace
+    assert model.err_trace == ref.err_trace
+
+
+def _recording_blocks(monkeypatch):
+    calls = []
+    real = online._complete_block
+
+    def recorded(spec, D, system, X, missing, **kwargs):
+        calls.append((D.copy(), X.copy()))
+        return real(spec, D, system, X, missing, **kwargs)
+
+    monkeypatch.setattr(online, "_complete_block", recorded)
+    return calls
+
+
+def test_last_block_of_an_odd_stream_has_one_column(monkeypatch):
+    X_true, mask, samples = _stream_instance(n=7)
+    calls = _recording_blocks(monkeypatch)
+    hp = OnlineHyperparams(r=8, beta=1e-3, n_iter=10, n_pass=2, seed=0)
+    out, model = run_stream(samples, KernelSpec.rbf(2.5), hp,
+                            ground_truth=X_true)
+    assert online.BATCH == 2
+    assert [X.shape[1] for _, X in calls] == [2, 2, 2, 1] * 2
+    assert model.samples_seen == len(model.cost_trace) == 14
+    assert len(model.err_trace) == 14
+    assert np.all(np.isfinite(out))
+    assert np.array_equal(out[mask.observed], X_true[mask.observed])
+
+
+def test_empty_column_inside_a_block_starts_from_its_first_visit(monkeypatch):
+    X_true, _, samples = _stream_instance(n=9)
+    samples[4] = (np.full(30, np.nan), np.array([], dtype=int))
+    monkeypatch.setattr(online, "BATCH", 3)
+    calls = _recording_blocks(monkeypatch)
+    hp = OnlineHyperparams(r=8, beta=1e-3, n_iter=10, n_pass=2, seed=0)
+    out, model = run_stream(samples, KernelSpec.rbf(2.5), hp)
+    D0 = np.random.default_rng(0).standard_normal((30, 8))
+    # the second block's dictionary has taken one step away from D0
+    D, X = calls[1]
+    assert not np.array_equal(D, D0)
+    assert np.array_equal(X[:, 1], D.mean(axis=1))
+    # its second visit starts from its first completion
+    assert not np.array_equal(calls[4][1][:, 1], calls[4][0].mean(axis=1))
+    assert np.all(np.isfinite(out))
+
+
+def test_numerical_error_names_the_column_inside_a_block(monkeypatch):
+    _, _, samples = _stream_instance(n=9)
+    x, obs = samples[4]
+    x = x.copy()
+    x[obs] = 1e100
+    samples[4] = (x, obs)
+    monkeypatch.setattr(online, "BATCH", 3)
+    hp = OnlineHyperparams(r=8, beta=1e-3, n_iter=10, seed=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError) as err:
+            run_stream(samples, KernelSpec.poly(4, 1.0), hp)
+    assert err.value.sample_index == 4
+    # the first block went through, the failed one counts nothing
+    assert err.value.model is not None
+    assert err.value.model.samples_seen == 3
+
+
+def test_diverged_dictionary_names_the_first_column_of_its_block(monkeypatch):
+    _, _, samples = _stream_instance(n=9)
+    real = online.update_dictionary
+    steps = []
+
+    def diverging(*args, **kwargs):
+        steps.append(args[1].shape[1])
+        if len(steps) == 3:
+            raise NumericalError("dictionary update diverged")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(online, "update_dictionary", diverging)
+    with pytest.raises(NumericalError, match="diverged") as err:
+        run_stream(samples, KernelSpec.rbf(2.5),
+                   OnlineHyperparams(r=8, beta=1e-3, n_iter=10, seed=0))
+    assert steps == [2, 2, 2]
+    assert err.value.sample_index == 4
+    assert err.value.model.samples_seen == 4
