@@ -29,7 +29,7 @@ D = kfmc.train_dictionary(train, spec, hp)
 print(f"trained dictionary: {D.shape[0]}x{D.shape[1]} "
       f"from fully observed 30x100 data")
 
-X_ose = kfmc.complete_new(D, samples, spec, beta=1e-4, n_iter=60, eta=0.5)
+X_ose = kfmc.complete_new(D, samples, spec, beta=1e-4, n_iter=60)
 print(f"\nKFMC out-of-sample on 50 new columns at 30% missing: "
       f"relative error {kfmc.relative_error(X_ose, new):.4f}")
 

@@ -40,8 +40,9 @@ from .masking import MaskedMatrix
 EPS_DIAG = 1e-12
 
 
-def _check_settings(*, tau: float, eta: float, r: int = 1, alpha: float = 0.0,
-                    beta: float = 0.0, n_iter: int = 1) -> None:
+def _check_settings(*, tau: float, eta: float = 0.0, r: int = 1,
+                    alpha: float = 0.0, beta: float = 0.0,
+                    n_iter: int = 1) -> None:
     """Raise ValueError unless r >= 1, tau > 1, alpha, beta >= 0, eta lies
     in [0, 1) and n_iter >= 1: the settings every solver shares.  A setting
     a solver does not have keeps its valid default."""

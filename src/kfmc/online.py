@@ -1,28 +1,28 @@
 """Streaming completion: block inference plus SGD dictionary updates.
 
 Each block of :data:`BATCH` columns is completed by alternating an exact
-code solve with a relaxed Newton step on its unobserved entries; then the
-dictionary takes one gradient step over the spectral norm of the block's
-curvature divided by sqrt(b) (mini-batches as in arXiv:0908.0050, the
-sqrt(b) rule of arXiv:1404.5997).  The step, the per-column objective and
-the code solve are the batch solver's (:mod:`kfmc.offline`), so all three
-solvers share one algebra.  Model state is O(m*r + r^2), except
-``cost_trace`` / ``err_trace``, which gain one entry per visit;
-:func:`run_stream` also holds the (m, n) stream.
+code solve with a relaxed Newton step on its unobserved entries, mixed by
+Anderson acceleration; then the dictionary takes one gradient step over
+the spectral norm of the block's curvature divided by sqrt(b) (mini-batches
+as in arXiv:0908.0050, the sqrt(b) rule of arXiv:1404.5997).  The step,
+the per-column objective and the code solve are the batch solver's
+(:mod:`kfmc.offline`), so all three solvers share one algebra.  Model
+state is O(m*r + r^2), except ``cost_trace`` / ``err_trace``, which gain
+one entry per visit; :func:`run_stream` also holds the (m, n) stream.
 
 One inner loop, :func:`_complete_block`, serves the streaming and the
 out-of-sample solvers.  It works on an (m, n) array of columns, taken as
 one block or as blocks of a fixed width side by side: the stream calls it
 with one block of at most BATCH columns, :func:`kfmc.ose.complete_new` with
 zero-padded blocks of a fixed width.  Each step is a column-wise array
-operation or a product that runs once per block at the block's fixed shape
-(:func:`kfmc.kernels.block_product`), and a finished column is frozen, so
-with a fixed width a column's bits depend on neither its position, its
-block nor its neighbours; a block whose columns have all stopped leaves
-the loop.  Each kernel is evaluated once per state and handed to every
-consumer: K_DD once per dictionary, next to the solve operator, and
-K(D, X) once per state of the running blocks, so an iteration costs one
-kernel, of its new point, whatever eta.
+operation, a product that runs once per block at the block's fixed shape
+(:func:`kfmc.kernels.block_product`), or a small system solved per column,
+and a finished column is frozen, so with a fixed width a column's bits
+depend on neither its position, its block nor its neighbours; a block
+whose columns have all stopped leaves the loop.  Each kernel is evaluated
+once per state and handed to every consumer: K_DD once per dictionary,
+next to the solve operator, and K(D, X) once per state of the running
+blocks, so an iteration costs one kernel, of its new point.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ import numpy as np
 
 from .exceptions import NumericalError
 from .kernels import (KernelSpec, block_product, column_sq_norms,
-                      kernel_matrix)
+                      kernel_diag, kernel_matrix)
 from .offline import (_check_settings, _column_objective, _dictionary_parts,
                       _dictionary_reg, _sample_step, _solve_operator)
 
@@ -40,6 +40,12 @@ from .offline import (_check_settings, _column_objective, _dictionary_parts,
 EPS_NORM = 1e-12
 # Columns per block of the stream, which runs one inner loop and one step.
 BATCH = 2
+# Step differences each column's Anderson mixing remembers, and the ridge,
+# relative to its trace, added to their Gram matrix.
+MEMORY = 3
+RIDGE = 1e-12
+# Added to that ridge, so that a zero Gram matrix stays solvable.
+FLOOR = np.finfo(float).tiny
 
 
 @dataclass
@@ -47,15 +53,14 @@ class OnlineHyperparams:
     """Streaming solver settings: as the batch solver, plus the number of
     inner iterations per sample and the number of passes over the stream.
 
-    The inner loop stops a column once one iteration changes its missing
-    entries by less than tol relative to their norm, or after n_iter
-    iterations.  With the default eta = 0.5 and tau = 2 the error of the
-    heavy-ball step follows e_{k+1} = (1 + eta - 1/tau) e_k - eta e_{k-1},
-    which contracts by about 1/sqrt(2) per iteration: tol = 1e-6 would need
-    some 40 iterations and so almost never fired before the n_iter = 30
-    cap, while the default 1e-3 stops most columns after 17-20 iterations,
-    with a relative error within 2% of the capped runs'.  These defaults
-    are also those of :func:`kfmc.ose.complete_new`.
+    eta is the momentum weight of the dictionary step only: the inner loop
+    mixes its steps by Anderson acceleration instead.  The inner loop stops
+    a column once one iteration changes its missing entries by less than
+    tol relative to their norm, or after n_iter iterations.  At the default
+    tol = 1e-3 and tau = 2 a column of the union-nonlinear preset (m = 30,
+    r = 60) takes about 9 iterations and hardly ever reaches the n_iter = 30
+    cap; tol = 1e-6 takes about 16.  The defaults of n_iter, tau and tol are
+    also those of :func:`kfmc.ose.complete_new`.
     """
 
     r: int
@@ -137,70 +142,143 @@ def _code_system(spec: KernelSpec, D: np.ndarray, beta: float):
 
 
 def _complete_block(spec: KernelSpec, D: np.ndarray, system, X: np.ndarray,
-                    missing: np.ndarray, *, tau: float, eta: float,
-                    n_iter: int, tol: float, alpha: float, beta: float,
+                    missing: np.ndarray, *, tau: float, n_iter: int,
+                    tol: float, alpha: float, beta: float,
                     block: int | None = None):
     """Inner loop on the columns of X (m, n): alternate exact code solves
-    with Newton steps on the entries where ``missing`` is True.
+    with Newton steps on the entries where ``missing`` is True, mixed by
+    Anderson acceleration.
 
-    ``system`` comes from :func:`_code_system`; ``X`` is not modified.  A
-    column with nothing missing never moves.  Every eta takes the same
-    step; eta = 0 means no momentum.  A column stops when its relative
-    change drops below ``tol``, or after ``n_iter`` iterations, and from
-    then on keeps its values and kernel.  With ``block``, X holds blocks of
-    that width side by side: every product runs once per block (see
-    :func:`kfmc.kernels.block_product`) and every sum runs down the
-    columns, so a block gets the bits it gets alone, and a block whose
-    columns have all stopped leaves the working set.  Returns the
-    completed X, the codes and k(D, x) of each column (r, n), and one
-    :class:`SampleInfo` per column.  Raises :class:`NumericalError` naming
-    the first non-finite column in ``sample_index``; a non-finite entry
-    stays non-finite, so checking once at the end finds every column that
-    failed on the way.
+    ``system`` comes from :func:`_code_system`.  ``X`` is completed in
+    place, so the caller passes an array of its own.  A column with nothing
+    missing never moves.  The plain iteration is g(x) = x - step(x) on a
+    column's missing entries x.  Anderson mixing (Anderson, J. ACM 12, 1965;
+    Walker & Ni, SIAM J. Numer. Anal. 49, 2011) keeps the last
+    :data:`MEMORY` differences of a column's steps and of its g, fits the
+    step by the step differences in least squares, and moves to g minus the
+    same combination of the g differences.  A mixed iterate that raises its
+    column's objective is dropped for the plain step from the iterate before
+    it, and the column's history starts afresh.  A column stops when
+    one iteration changes its missing entries by less than ``tol`` relative
+    to their norm, or after ``n_iter`` iterations, and from then on keeps
+    its values and kernel.  With ``block``, X holds blocks of that width
+    side by side: every product runs once per block (see
+    :func:`kfmc.kernels.block_product`), every sum runs down the rows of one
+    column and each column solves its own system, so a block gets the bits
+    it gets alone, and a block whose columns have all stopped leaves the
+    working set.  Returns the completed X, the codes and k(D, x) of each
+    column (r, n), and one :class:`SampleInfo` per column.  Raises
+    :class:`NumericalError` naming the first non-finite column in
+    ``sample_index``; a non-finite entry stays non-finite, so checking once
+    at the end finds every column that failed on the way.
     """
     K_DD, solve_op, sq_D = system
     tol2 = tol * tol
-    momentum = np.zeros_like(X)
-    done = ~missing.any(axis=0)
-    iterations = np.zeros(done.shape, dtype=int)
+    n = X.shape[1]
+    counts = np.count_nonzero(missing, axis=0)
+    done = counts == 0
+    iterations = np.zeros(n, dtype=int)
     K = kernel_matrix(spec, D, X, sq_D, block)
+    # the running columns ``who``, and their missing entries column by
+    # column: ``counts`` of them from ``starts``, at flat indices ``at``
+    # into X, with values ``x``
+    who = np.flatnonzero(counts)
+    counts = counts[who]
+    starts = np.cumsum(counts) - counts
+    at = np.ravel_multi_index(np.nonzero(missing.T)[::-1], missing.shape)
+    x = X.take(at)
+    # hist[0] holds the step and g at those entries, and hist[1:] a ring of
+    # the last MEMORY differences of both
+    hist = np.zeros((MEMORY + 1, 2, x.size))
     # several blocks: finished ones go to ``result``; the working set keeps
     # the others, whose columns of X are ``cols``
-    blocks = block is not None and X.shape[1] > block
+    blocks = block is not None and n > block
     if blocks:
-        cols = np.arange(X.shape[1])
-        result = [np.empty_like(a) for a in (X, K, iterations, done)]
-    for _ in range(n_iter):
-        # count_nonzero costs a fraction of .all() / .any() on short arrays
-        if np.count_nonzero(done) == done.size:
-            break
-        if blocks:
+        cols = np.arange(n)
+        result = [X] + [np.empty_like(a) for a in (K, iterations, done)]
+    # each column's objective at its last accepted iterate, as
+    # k(D, x)'z - k(x, x), minus twice the objective at the exact code up to
+    # a constant (-inf: accept the next iterate as it comes)
+    last = np.full(n, -np.inf)
+    k = 0
+    stopped = True  # look for finished blocks before the first iteration
+    while who.size and k < n_iter:
+        if blocks and stopped:
             finished = np.repeat(done.reshape(-1, block).all(axis=1), block)
+            # count_nonzero costs a fraction of .any() on short arrays
             if np.count_nonzero(finished):
                 for out, a in zip(result, (X, K, iterations, done)):
                     out[..., cols[finished]] = a[..., finished]
+                # renumber the running columns in the remaining ones
+                renumber = np.cumsum(~finished) - 1
+                who = renumber.take(who)
+                at = at // n * (n - np.count_nonzero(finished)) \
+                    + renumber.take(at % n)
                 # np.take keeps C order; a boolean gather comes back in
                 # Fortran order, which BLAS reads transposed, other bits
                 keep = np.flatnonzero(~finished)
-                X, missing, momentum, K, done, iterations, cols = (
-                    np.ascontiguousarray(np.take(a, keep, axis=-1)) for a in
-                    (X, missing, momentum, K, done, iterations, cols))
-        active = ~done
-        iterations += active
+                X, K, done, iterations, last, cols = (
+                    np.ascontiguousarray(a.take(keep, axis=-1)) for a in
+                    (X, K, done, iterations, last, cols))
+                n = X.shape[1]
         Z = block_product(solve_op, K, block)
-        momentum *= eta
-        momentum += _sample_step(spec, X, Z, D, K, tau, block)
-        X_new = np.where(missing & active, X - momentum, X)
-        # relative change of the missing entries, compared squared (dX is
-        # zero at observed entries and in frozen columns)
-        dX = X_new - X
-        dX *= dX
-        X_miss = np.where(missing, X, 0.0)
-        X_miss *= X_miss
-        done |= np.add.reduce(dX, axis=0) < \
-            tol2 * np.maximum(np.add.reduce(X_miss, axis=0), 1e-60)
-        X = X_new
+        step, g = hist[0]
+        _sample_step(spec, X, Z, D, K, tau, block).take(at, out=step)
+        np.subtract(x, step, out=g)
+        if k:
+            level = np.add.reduce(K * Z, axis=0)
+            if spec.is_poly:
+                level -= kernel_diag(spec, X)
+            worse = level < last
+            last = level
+            # the newest differences: their slot held minus the last step
+            # and g
+            newest = hist[(k - 1) % MEMORY + 1]
+            if np.count_nonzero(worse):
+                # a mixed iterate that raised its column's objective is
+                # dropped: the column takes the plain step from the iterate
+                # before it, with an empty history
+                back = np.repeat(worse.take(who), counts)
+                before = -newest[:, back]
+                newest += hist[0]
+                hist[0][:, back] = before
+                hist[1:, :, back] = 0.0
+                last[worse] = -np.inf
+            else:
+                newest += hist[0]
+            # sums down each column's rows give the Gram matrix of its step
+            # differences next to their products with its step
+            gram = np.add.reduceat(hist[1:, None, 0] * hist[None, :, 0],
+                                   starts, axis=2)
+            diag = gram.reshape(-1, who.size)[1::MEMORY + 2]
+            diag += RIDGE * np.add.reduce(diag, axis=0) + FLOOR
+            # one small system per column, stacked
+            gamma = np.linalg.solve(gram[:, 1:].transpose(2, 0, 1),
+                                    gram[:, :1].transpose(2, 0, 1))
+            mix = gamma[:, :, 0].T.repeat(counts, axis=1)
+            mix *= hist[1:, 1]
+            x_new = g - np.add.reduce(mix, axis=0)
+        else:
+            x_new = g.copy()  # g lives in hist, which the next step rewrites
+        np.negative(hist[0], out=hist[k % MEMORY + 1])
+        k += 1
+        X.put(at, x_new)
         K = kernel_matrix(spec, D, X, sq_D, block)
+        # each column's squared change and squared norm
+        sq = np.add.reduceat(np.square([x - x_new, x]), starts, axis=1)
+        stop = sq[0] < tol2 * np.maximum(sq[1], 1e-60)
+        x = x_new
+        stopped = np.count_nonzero(stop)
+        if stopped:
+            done[who[stop]] = True
+            iterations[who[stop]] = k
+            if stopped < who.size:  # else the loop ends
+                keep = np.flatnonzero(np.repeat(~stop, counts))
+                hist, x, at = (a.take(keep, axis=-1) for a in (hist, x, at))
+                counts = counts[~stop]
+                starts = np.cumsum(counts) - counts
+            who = who[~stop]
+    iterations[who] = k
     if blocks:
         for out, a in zip(result, (X, K, iterations, done)):
             out[..., cols] = a
@@ -288,7 +366,7 @@ def complete_sample(model: OnlineModel, x: np.ndarray, observed_idx: np.ndarray,
     X0, missing = _prepare_columns([(x, observed_idx)], D)
     system = _code_system(spec, D, hp.beta)
     X, Z, K, infos = _complete_block(
-        spec, D, system, X0, missing, tau=hp.tau, eta=hp.eta,
+        spec, D, system, X0, missing, tau=hp.tau,
         n_iter=hp.n_iter, tol=hp.tol, alpha=hp.alpha, beta=hp.beta)
     if return_kernels:
         return X[:, 0], Z[:, 0], infos[0], (K.T, system[0])
@@ -367,7 +445,7 @@ def run_stream(samples, spec: KernelSpec, hp: OnlineHyperparams,
                 system = _code_system(spec, D, hp.beta)
                 X, Z, K, infos = _complete_block(
                     spec, D, system, X, missing[:, cols], tau=hp.tau,
-                    eta=hp.eta, n_iter=hp.n_iter, tol=hp.tol, alpha=hp.alpha,
+                    n_iter=hp.n_iter, tol=hp.tol, alpha=hp.alpha,
                     beta=hp.beta)
                 update_dictionary(model, X, Z, spec, hp, (K.T, system[0]))
             except NumericalError as exc:

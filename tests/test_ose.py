@@ -57,7 +57,7 @@ def test_complete_new_matches_offline_quality():
     hp = OfflineHyperparams(r=60, alpha=0.1, beta=1e-4, eta=0.5, t_max=300,
                             tol=1e-7, seed=0)
     D = train_dictionary(train, spec, hp)
-    X_hat = complete_new(D, samples, spec, beta=1e-4, n_iter=60, eta=0.5)
+    X_hat = complete_new(D, samples, spec, beta=1e-4, n_iter=60)
     re_ose = relative_error(X_hat, test)
 
     comb_obs = np.hstack([np.ones((30, 100), dtype=bool), mask.observed])

@@ -30,35 +30,42 @@ def _column(rng, kind):
     return xs, obs
 
 
-def _samples(n, seed):
+def _samples(n, seed, warm=0.0):
+    """n samples of every kind; with ``warm``, that share of each sample's
+    missing entries (rounded down) holds a finite warm start."""
     rng = np.random.default_rng(seed)
     kinds = {3: "full", 4: "empty"}
-    return [_column(rng, kinds.get(j % 5, "part")) for j in range(n)]
+    samples = [_column(rng, kinds.get(j % 5, "part")) for j in range(n)]
+    for x, _ in samples:
+        free = np.flatnonzero(np.isnan(x))
+        free = free[:int(warm * free.size)]
+        x[free] = rng.standard_normal(free.size)
+    return samples
 
 
 def _dictionary(seed=0):
     return np.random.default_rng(seed).standard_normal((M, R))
 
 
-def _run(D, samples, spec, eta):
-    return complete_new(D, samples, spec, BETA, n_iter=12, eta=eta, tol=1e-9,
+def _run(D, samples, spec):
+    return complete_new(D, samples, spec, BETA, n_iter=12, tol=1e-9,
                         return_info=True)
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 19])
 @pytest.mark.parametrize("spec", SPECS, ids=["rbf", "poly"])
-@pytest.mark.parametrize("eta", [0.5, 0.0])
-def test_bulk_single_and_reversed_outputs_are_bitwise_equal(n, spec, eta):
+@pytest.mark.parametrize("warm", [0.5, 0.0])
+def test_bulk_single_and_reversed_outputs_are_bitwise_equal(n, spec, warm):
     D = _dictionary()
-    samples = _samples(n, seed=n)
-    bulk, infos = _run(D, samples, spec, eta)
+    samples = _samples(n, seed=n, warm=warm)
+    bulk, infos = _run(D, samples, spec)
     assert bulk.shape == (M, n)
     assert np.all(np.isfinite(bulk))
-    rev, rev_infos = _run(D, samples[::-1], spec, eta)
+    rev, rev_infos = _run(D, samples[::-1], spec)
     assert np.array_equal(rev[:, ::-1], bulk)
     assert rev_infos[::-1] == infos
     for j, sample in enumerate(samples):
-        solo, solo_infos = _run(D, [sample], spec, eta)
+        solo, solo_infos = _run(D, [sample], spec)
         assert np.array_equal(solo[:, 0], bulk[:, j])
         assert solo_infos[0] == infos[j]
         x, obs = sample
@@ -70,15 +77,15 @@ def test_bulk_single_and_reversed_outputs_are_bitwise_equal(n, spec, eta):
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=["rbf", "poly"])
-@pytest.mark.parametrize("eta", [0.5, 0.0])
-def test_column_output_ignores_neighbour_content(spec, eta):
+@pytest.mark.parametrize("warm", [0.5, 0.0])
+def test_column_output_ignores_neighbour_content(spec, warm):
     D = _dictionary()
-    samples = _samples(2 * BLOCK + 3, seed=1)
-    base, base_infos = _run(D, samples, spec, eta)
+    samples = _samples(2 * BLOCK + 3, seed=1, warm=warm)
+    base, base_infos = _run(D, samples, spec)
     for j in (2, BLOCK + 1, 2 * BLOCK + 2):
         others = _samples(len(samples), seed=100 + j)
         mixed = others[:j] + [samples[j]] + others[j + 1:]
-        out, infos = _run(D, mixed, spec, eta)
+        out, infos = _run(D, mixed, spec)
         assert np.array_equal(out[:, j], base[:, j])
         assert infos[j] == base_infos[j]
 
@@ -112,16 +119,16 @@ def test_kernel_matrix_with_cached_norms_gives_identical_bits(spec):
 
 @pytest.mark.parametrize("n", [64, STACK + 1])
 @pytest.mark.parametrize("spec", SPECS, ids=["rbf", "poly"])
-@pytest.mark.parametrize("eta", [0.5, 0.0])
-def test_stacked_call_equals_single_columns_bitwise(n, spec, eta):
+@pytest.mark.parametrize("warm", [0.5, 0.0])
+def test_stacked_call_equals_single_columns_bitwise(n, spec, warm):
     D = _dictionary()
-    samples = _samples(n, seed=n)
-    bulk, infos = _run(D, samples, spec, eta)
-    rev, rev_infos = _run(D, samples[::-1], spec, eta)
+    samples = _samples(n, seed=n, warm=warm)
+    bulk, infos = _run(D, samples, spec)
+    rev, rev_infos = _run(D, samples[::-1], spec)
     assert np.array_equal(rev[:, ::-1], bulk)
     assert rev_infos[::-1] == infos
     for j, sample in enumerate(samples):
-        solo, solo_infos = _run(D, [sample], spec, eta)
+        solo, solo_infos = _run(D, [sample], spec)
         assert np.array_equal(solo[:, 0], bulk[:, j])
         assert solo_infos[0] == infos[j]
 

@@ -6,8 +6,8 @@ every observed entry must come back with the same bits.
 Stopping by ``tol`` only cuts the run short: a ``fit`` that stops by
 ``tol`` has the bits of the run that spends a budget of exactly its sweeps,
 and so has each column of ``complete_new`` with a budget of exactly its
-inner iterations.  ``complete_new`` with eta = 0 at any relaxation gives
-each column the same bits and :class:`SampleInfo` in any column order.
+inner iterations.  ``complete_new`` at any relaxation gives each column
+the same bits and :class:`SampleInfo` in any column order.
 A missing entry starts at the mean of its column's observed entries, taken
 in row order, so a column's output does not depend on the order of its
 indices.  A bulk call whose blocks stop at different iterations gives each
@@ -76,10 +76,9 @@ def test_run_stream_keeps_observed_entries(problem):
 @SETTINGS
 @given(problems(), st.integers(0, 2**32 - 1))
 def test_complete_new_keeps_observed_entries(problem, seed):
-    values, observed, spec, eta = problem
+    values, observed, spec, _ = problem
     D = np.random.default_rng(seed).standard_normal((values.shape[0], 3))
-    out = complete_new(D, _samples(values, observed), spec, 0.1, n_iter=5,
-                       eta=eta)
+    out = complete_new(D, _samples(values, observed), spec, 0.1, n_iter=5)
     assert np.array_equal(out[observed], values[observed])
 
 
@@ -101,16 +100,16 @@ def test_fit_stopping_by_tol_only_cuts_the_run_short(problem):
 @SETTINGS
 @given(problems(), st.integers(0, 2**32 - 1))
 def test_complete_new_stopping_by_tol_only_cuts_the_run_short(problem, seed):
-    values, observed, spec, eta = problem
+    values, observed, spec, _ = problem
     D = np.random.default_rng(seed).standard_normal((values.shape[0], 3))
     samples = _samples(values, observed)
-    out, infos = complete_new(D, samples, spec, 0.1, n_iter=60, eta=eta,
-                              tol=1e-2, return_info=True)
+    out, infos = complete_new(D, samples, spec, 0.1, n_iter=60, tol=1e-2,
+                              return_info=True)
     for j, info in enumerate(infos):
         # a column with nothing missing runs no iteration and never moves
         alone, (budget,) = complete_new(
             D, samples[j:j + 1], spec, 0.1, n_iter=max(info.iterations, 1),
-            eta=eta, tol=0.0, return_info=True)
+            tol=0.0, return_info=True)
         assert np.array_equal(out[:, j], alone[:, 0]), j
         assert budget.iterations == info.iterations
         assert budget.objective == info.objective
@@ -129,7 +128,7 @@ def test_guarded_complete_new_is_column_wise_in_any_order(m, n, spec, tau,
     values = 2.0 * rng.standard_normal((m, n))
     observed = rng.random((m, n)) < 0.6
     samples = _samples(values, observed)
-    run = dict(n_iter=12, eta=0.0, tau=tau, tol=0.0, return_info=True)
+    run = dict(n_iter=12, tau=tau, tol=0.0, return_info=True)
     out, infos = complete_new(D, samples, spec, 1e-3, **run)
     assert np.array_equal(out[observed], values[observed])
     perm = rng.permutation(n)
@@ -171,14 +170,12 @@ def test_fill_is_the_mean_of_the_sorted_observed_entries(samples):
 
 
 @SETTINGS
-@given(shuffled_columns(), st.sampled_from(SPECS),
-       st.sampled_from([0.0, 0.5]), st.integers(0, 2**32 - 1))
-def test_column_output_ignores_the_order_of_its_indices(samples, spec, eta,
-                                                         seed):
+@given(shuffled_columns(), st.sampled_from(SPECS), st.integers(0, 2**32 - 1))
+def test_column_output_ignores_the_order_of_its_indices(samples, spec, seed):
     m = samples[0][0].size
     D = np.random.default_rng(seed).standard_normal((m, 3))
     x, idx = samples[0]
-    run = dict(n_iter=5, eta=eta, return_info=True)
+    run = dict(n_iter=5, return_info=True)
     out, infos = complete_new(D, [(x, idx)], spec, 0.1, **run)
     out_s, infos_s = complete_new(D, [(x, np.sort(idx))], spec, 0.1, **run)
     assert np.array_equal(out, out_s)
@@ -187,10 +184,9 @@ def test_column_output_ignores_the_order_of_its_indices(samples, spec, eta,
 
 @settings(SETTINGS, max_examples=25)
 @given(st.integers(4, 9), st.integers(1, 3), st.integers(1, 12),
-       st.sampled_from(LONG_STEP_SPECS), st.sampled_from([0.0, 0.5]),
-       st.integers(0, 2**32 - 1))
+       st.sampled_from(LONG_STEP_SPECS), st.integers(0, 2**32 - 1))
 def test_blocks_stopping_apart_match_single_requests(m, slow_blocks, tail,
-                                                     spec, eta, seed):
+                                                     spec, seed):
     # a fully observed block stops before the first iteration; the blocks
     # after it stop when their slowest column does, at tol = 1e-3
     rng = np.random.default_rng(seed)
@@ -200,7 +196,7 @@ def test_blocks_stopping_apart_match_single_requests(m, slow_blocks, tail,
     observed = rng.random((m, n)) < rng.uniform(0.3, 0.9, n)
     observed[:, :BLOCK] = True
     samples = _samples(values, observed)
-    run = dict(n_iter=40, eta=eta, tol=1e-3, return_info=True)
+    run = dict(n_iter=40, tol=1e-3, return_info=True)
     out, infos = complete_new(D, samples, spec, 1e-3, **run)
     rev, rev_infos = complete_new(D, samples[::-1], spec, 1e-3, **run)
     assert np.array_equal(rev[:, ::-1], out)
