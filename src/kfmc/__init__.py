@@ -33,9 +33,7 @@ from .synth import (SyntheticSpec, continuous_mask, feature_count, generate,
                     poly_features, random_mask, twisted_cubic)
 from .offline import (OfflineHyperparams, OfflineModel, completion_step,
                       dictionary_step, fit, objective, solve_codes)
-from .online import (OnlineHyperparams, OnlineModel, SampleInfo,
-                     complete_sample, run_stream, sample_objective,
-                     update_dictionary)
+from .online import OnlineHyperparams, OnlineModel, SampleInfo, run_stream
 from .ose import complete_new, train_dictionary
 from .baselines import lrf_complete, ose_lrf, svd_basis
 from .tuning import mean_pairwise_distance
@@ -54,8 +52,7 @@ __all__ = [
     "poly_features", "random_mask", "twisted_cubic",
     "OfflineHyperparams", "OfflineModel", "completion_step",
     "dictionary_step", "fit", "objective", "solve_codes",
-    "OnlineHyperparams", "OnlineModel", "SampleInfo", "complete_sample",
-    "run_stream", "sample_objective", "update_dictionary",
+    "OnlineHyperparams", "OnlineModel", "SampleInfo", "run_stream",
     "complete_new", "train_dictionary",
     "lrf_complete", "ose_lrf", "svd_basis",
     "mean_pairwise_distance",

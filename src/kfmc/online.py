@@ -103,31 +103,14 @@ class SampleInfo:
     """Outcome of one sample's inner loop, stopped by tol or at n_iter."""
 
     converged: bool
-    hit_iter_limit: bool
     iterations: int
     objective: float
 
-
-def sample_objective(spec: KernelSpec, x: np.ndarray, z: np.ndarray,
-                     D: np.ndarray, alpha: float, beta: float,
-                     k_xD=None, K_DD=None, block: int | None = None):
-    """Per-sample objective 0.5||phi(x) - phi(D) z||^2 + regularizers.
-
-    ``x`` is one column (m,) with its code ``z`` (r,), giving a float, or a
-    block (m, b) with codes (r, b), giving one value per column.  ``k_xD``
-    holds k(D, x), shaped like ``z``; ``block`` is the layout of
-    :func:`kfmc.kernels.block_product`.
-    """
-    X = x if x.ndim > 1 else x[:, None]
-    Z = z if z.ndim > 1 else z[:, None]
-    if k_xD is None:
-        k_xD = kernel_matrix(spec, D, X)
-    K = k_xD if k_xD.ndim > 1 else k_xD[:, None]
-    if K_DD is None:
-        K_DD = kernel_matrix(spec, D, D)
-    obj = _column_objective(spec, X, Z, K, K_DD, alpha, beta,
-                            _dictionary_reg(spec, D), block)
-    return obj if x.ndim > 1 else float(obj[0])
+    @property
+    def hit_iter_limit(self) -> bool:
+        """Whether the loop reached n_iter without meeting tol: a column
+        that has not converged has run all n_iter iterations."""
+        return not self.converged
 
 
 def _code_system(spec: KernelSpec, D: np.ndarray, beta: float):
@@ -284,13 +267,14 @@ def _complete_block(spec: KernelSpec, D: np.ndarray, system, X: np.ndarray,
             out[..., cols] = a
         X, K, iterations, done = result
     Z = block_product(solve_op, K, block)
-    objective = sample_objective(spec, X, Z, D, alpha, beta, K, K_DD, block)
+    objective = _column_objective(spec, X, Z, K, K_DD, alpha, beta,
+                                  _dictionary_reg(spec, D), block)
     failed = ~(np.isfinite(X).all(axis=0) & np.isfinite(Z).all(axis=0)
                & np.isfinite(objective))
     if failed.any():
         raise NumericalError("sample completion produced non-finite values",
                              sample_index=int(np.argmax(failed)))
-    infos = [SampleInfo(c, bool(i >= n_iter), i, o) for c, i, o in
+    infos = [SampleInfo(c, i, o) for c, i, o in
              zip(done.tolist(), iterations.tolist(), objective.tolist())]
     return X, Z, K, infos
 
@@ -353,36 +337,14 @@ def _prepare_columns(samples, D: np.ndarray, prior: bool = True):
     return X0, missing
 
 
-def complete_sample(model: OnlineModel, x: np.ndarray, observed_idx: np.ndarray,
-                    spec: KernelSpec, hp: OnlineHyperparams,
-                    return_kernels: bool = False):
-    """Complete one column against the current dictionary: the inner loop
-    on a block of width one.
-
-    Returns the completed column, its code vector, a :class:`SampleInfo` and,
-    with ``return_kernels``, the (K_XD, K_DD) of the completed column.
-    """
+def update_dictionary(model: OnlineModel, X: np.ndarray, Z: np.ndarray,
+                      spec: KernelSpec, hp: OnlineHyperparams,
+                      kernels=None) -> None:
+    """One SGD step on the dictionary (in place) for a block of completed
+    columns X (m, b) with their codes Z (r, b), whose (K_XD, K_DD) are
+    ``kernels`` if given: the batch gradient over tau ||H||_2 / sqrt(b), H
+    the batch curvature (at b = 1, dividing by 1.0 is exact)."""
     D = model.dictionary
-    X0, missing = _prepare_columns([(x, observed_idx)], D)
-    system = _code_system(spec, D, hp.beta)
-    X, Z, K, infos = _complete_block(
-        spec, D, system, X0, missing, tau=hp.tau,
-        n_iter=hp.n_iter, tol=hp.tol, alpha=hp.alpha, beta=hp.beta)
-    if return_kernels:
-        return X[:, 0], Z[:, 0], infos[0], (K.T, system[0])
-    return X[:, 0], Z[:, 0], infos[0]
-
-
-def update_dictionary(model: OnlineModel, x_completed: np.ndarray,
-                      z: np.ndarray, spec: KernelSpec,
-                      hp: OnlineHyperparams, kernels=None) -> None:
-    """One SGD step on the dictionary (in place) for a completed column (m,)
-    with its code (r,), or a block (m, b) with codes (r, b), whose (K_XD,
-    K_DD) are ``kernels`` if given: the batch gradient over tau ||H||_2 /
-    sqrt(b), H the batch curvature (at b = 1, dividing by 1.0 is exact)."""
-    D = model.dictionary
-    X = x_completed if x_completed.ndim > 1 else x_completed[:, None]
-    Z = z if z.ndim > 1 else z[:, None]
     grad, curvature = _dictionary_parts(spec, X, D, Z, hp.alpha, kernels)
     # ||H||_2 of the symmetric curvature is its largest |eigenvalue|; an
     # eigvalsh costs less than the SVD behind np.linalg.norm(H, 2)

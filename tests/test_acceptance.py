@@ -16,7 +16,7 @@ from kfmc.dataio import read_json
 from kfmc.kernels import kernel_matrix, power_weights
 from kfmc.offline import (_dictionary_parts, completion_step, dictionary_step,
                           fit, objective, solve_codes)
-from kfmc.online import OnlineModel, complete_sample, update_dictionary
+from kfmc.online import OnlineModel, update_dictionary
 
 
 class Timer:
@@ -221,7 +221,7 @@ def test_criterion_5_optimization_invariants(rng):
             model = OnlineModel(D)
             hp = OnlineHyperparams(r=3, alpha=alpha, beta=0.1, tau=tau,
                                    eta=0.0, seed=0)
-            update_dictionary(model, x, z, spec, hp)
+            update_dictionary(model, x[:, None], z[:, None], spec, hp)
             dec = surrogate_sample(model.dictionary) - surrogate_sample(D)
             assert dec <= -np.sum(grad * grad) / (2 * tau * tau0) + 1e-8
     print(f"\nACCEPTANCE 5 (gradient checks @1e-5, monotone traces, "
@@ -265,8 +265,7 @@ def test_criterion_6_online_behavior(union_problem, lrf_baseline):
                 xs = np.full(m, np.nan)
                 xs[obs] = x[obs]
                 tracemalloc.reset_peak()
-                x_hat, z, _ = complete_sample(model, xs, obs, sp, hp)
-                update_dictionary(model, x_hat, z, sp, hp)
+                kfmc.run_stream([(xs, obs)], sp, hp, model=model)
                 _, peak = tracemalloc.get_traced_memory()
                 peak_inside = max(peak_inside, peak)
         finally:

@@ -640,9 +640,10 @@ def test_resumed_stream_carries_samples_seen(union_dir, tmp_path):
     assert header["metadata"]["samples_seen"] == 600
     report = load_report(tmp_path / "s2")
     assert report["iterations"] == 600
-    # the inner-loop keys describe this run's 200 visits, all at the cap of 3
+    # the inner-loop keys describe this run's 200 visits: all run to the cap
+    # of 3, and 4 of them meet tol on that third iteration
     assert report["mean_inner_iterations"] == 3.0
-    assert report["samples_hit_iter_limit"] == 200
+    assert report["samples_hit_iter_limit"] == 196
 
 
 def test_resume_without_samples_seen_starts_at_zero(union_dir, trained_model,

@@ -1,9 +1,9 @@
 """The inner loop's objective and steps, and its column-wise bits.
 
 The per-column objective (:func:`kfmc.offline._column_objective`) adds its
-terms in one order, and :func:`sample_objective` must give the same bits
-with or without the kernels it is handed.  The inner loop evaluates it
-once, for the terminal objective.  A block of columns that take long steps
+terms in one order, and a column's value must not depend on the block
+layout it is evaluated in.  The inner loop evaluates it once, for the
+terminal objective.  A block of columns that take long steps
 must still give each column the bits it gets alone.  The Anderson mixing of
 the steps must survive degenerate histories, and take about half the
 iterations heavy-ball momentum took.
@@ -14,12 +14,10 @@ import numpy as np
 import pytest
 
 from kfmc import (KernelSpec, NumericalError, OfflineHyperparams,
-                  OnlineHyperparams, OnlineModel, complete_new,
-                  complete_sample, mean_pairwise_distance, train_dictionary)
+                  complete_new, mean_pairwise_distance, train_dictionary)
 from kfmc import online
 from kfmc.kernels import kernel_diag, kernel_matrix
-from kfmc.offline import _column_objective
-from kfmc.online import _dictionary_reg, sample_objective
+from kfmc.offline import _column_objective, _dictionary_reg
 from kfmc.ose import BLOCK
 from kfmc.synth import SyntheticSpec, generate, random_mask
 
@@ -27,12 +25,15 @@ SPECS = [KernelSpec.rbf(1.7), KernelSpec.poly(3, 0.5)]
 ALPHA, BETA = 0.2, 0.1
 
 
-def _reference_objective(spec, X, Z, D, alpha, beta):
-    """The per-sample objective of blocks (m, b), summed in the solver's
-    order: k(x, x), -k'z, z'K_DD z, the dictionary term, the code ridge."""
+def _reference_objective(spec, X, Z, D, alpha, beta, width):
+    """The per-column objective of X (m, n), summed in the solver's order:
+    k(x, x), -k'z, z'K_DD z, the dictionary term, the code ridge; K_DD z
+    as one product per ``width`` columns."""
     K, K_DD = kernel_matrix(spec, D, X), kernel_matrix(spec, D, D)
+    KZ = np.hstack([K_DD @ np.ascontiguousarray(Z[:, j:j + width])
+                    for j in range(0, Z.shape[1], width)])
     fit_term = (0.5 * kernel_diag(spec, X) - (K * Z).sum(axis=0)
-                + 0.5 * (Z * (K_DD @ Z)).sum(axis=0))
+                + 0.5 * (Z * KZ).sum(axis=0))
     reg_d = float(kernel_diag(spec, D).sum()) if spec.is_poly else D.shape[1]
     return fit_term + 0.5 * alpha * reg_d + 0.5 * beta * (Z * Z).sum(axis=0)
 
@@ -40,26 +41,16 @@ def _reference_objective(spec, X, Z, D, alpha, beta):
 @pytest.mark.parametrize("spec", SPECS, ids=["rbf", "poly"])
 @pytest.mark.parametrize("width", [None, 1, 6])
 def test_objective_with_shared_terms_gives_identical_bits(spec, width):
+    # six columns, in one product (None) or in blocks of ``width`` columns
     rng = np.random.default_rng(11)
     D = rng.standard_normal((5, 4))
-    X = rng.standard_normal((5, width or 1))
-    K_DD = kernel_matrix(spec, D, D)
-    Z = rng.standard_normal((4, X.shape[1]))
-    K = kernel_matrix(spec, D, X)
-    columns = _column_objective(spec, X, Z, K, K_DD, ALPHA, BETA,
-                                _dictionary_reg(spec, D))
-    if width is None:  # one column: 1-d x, z and k(D, x)
-        X, Z, K = X[:, 0], Z[:, 0], K[:, 0]
-    reference = sample_objective(spec, X, Z, D, ALPHA, BETA)
-    expected = _reference_objective(spec, X.reshape(5, -1), Z.reshape(4, -1),
-                                    D, ALPHA, BETA)
-    assert np.array_equal(reference, expected if width else expected[0])
+    X = rng.standard_normal((5, 6))
+    Z = rng.standard_normal((4, 6))
+    columns = _column_objective(spec, X, Z, kernel_matrix(spec, D, X),
+                                kernel_matrix(spec, D, D), ALPHA, BETA,
+                                _dictionary_reg(spec, D), width)
+    expected = _reference_objective(spec, X, Z, D, ALPHA, BETA, width or 6)
     assert np.array_equal(columns, expected)
-    for k_xD, K_DD_arg in ((None, None), (K, K_DD), (K, None)):
-        given = sample_objective(spec, X, Z, D, ALPHA, BETA, k_xD, K_DD_arg)
-        assert np.array_equal(given, reference)
-    if width is None:
-        assert isinstance(reference, float)
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=["rbf", "poly"])
@@ -76,9 +67,8 @@ def test_guarded_sample_evaluates_code_terms_once_per_code_solve(
     D = rng.standard_normal((10, 6))
     x = rng.standard_normal(10)
     x[1::2] = np.nan
-    hp = OnlineHyperparams(r=6, eta=0.0, beta=BETA, n_iter=20, tol=0.0)
-    _, _, info = complete_sample(OnlineModel(D), x, np.arange(0, 10, 2),
-                                 spec, hp)
+    _, (info,) = complete_new(D, [(x, np.arange(0, 10, 2))], spec, BETA,
+                              n_iter=20, tol=0.0, return_info=True)
     assert info.iterations >= 3
     # the terminal objective is the one code solve whose objective is
     # evaluated
@@ -184,6 +174,29 @@ def test_column_warm_started_at_its_fixed_point_stays_there(spec):
     assert np.allclose(again, fixed, rtol=1e-12, atol=1e-14)
     assert np.array_equal(again[obs, 0], xs[obs])
     assert info.iterations == 10 and np.isfinite(info.objective)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=["rbf", "poly"])
+def test_column_meeting_tol_on_its_last_iteration_did_not_hit_the_cap(spec):
+    rng = np.random.default_rng(31)
+    D = rng.standard_normal((9, 5))
+    samples = []
+    for _ in range(12):
+        x = rng.standard_normal(9)
+        obs = np.sort(rng.choice(9, 5, replace=False))
+        samples.append((np.where(np.isin(np.arange(9), obs), x, np.nan), obs))
+    _, infos = complete_new(D, samples, spec, BETA, return_info=True)
+    assert all(info.converged for info in infos)
+    # the column that stops first stops by tol on iteration k; with
+    # n_iter = k it still does, and only the columns that need more are cut
+    iterations = [info.iterations for info in infos]
+    j = int(np.argmin(iterations))
+    _, capped = complete_new(D, samples, spec, BETA, n_iter=iterations[j],
+                             return_info=True)
+    assert capped[j] == infos[j]
+    assert capped[j].converged and not capped[j].hit_iter_limit
+    hits = sum(info.hit_iter_limit for info in capped)
+    assert 0 < hits == sum(not info.converged for info in capped)
 
 
 def test_numerical_error_names_its_column_in_a_stacked_call():

@@ -7,13 +7,11 @@ on the spot.
 import numpy as np
 import pytest
 
-from kfmc import (KernelSpec, Mask, OfflineHyperparams, OnlineHyperparams,
-                  OnlineModel, SyntheticSpec, complete_sample, fit, generate,
-                  impute_init, random_mask)
-from kfmc import offline, online
+from kfmc import (KernelSpec, Mask, OfflineHyperparams, SyntheticSpec,
+                  complete_new, fit, generate, impute_init, random_mask)
+from kfmc import offline, online, ose
 from kfmc.kernels import kernel_matrix
 from kfmc.offline import objective, solve_codes
-from kfmc.online import sample_objective
 
 
 @pytest.fixture
@@ -33,13 +31,13 @@ def count_kernels(monkeypatch):
 @pytest.fixture
 def count_objectives(monkeypatch):
     calls = []
-    real = online.sample_objective
+    real = online._column_objective
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(online, "sample_objective", counted)
+    monkeypatch.setattr(online, "_column_objective", counted)
     return calls
 
 
@@ -90,15 +88,17 @@ def test_poly_fit_builds_two_kernels_per_sweep(count_kernels, eta):
 
 
 def test_guarded_sample_builds_at_most_two_kernels_per_iteration(
-        count_kernels, count_objectives):
+        monkeypatch, count_kernels, count_objectives):
     rng = np.random.default_rng(5)
     m, r = 10, 6
     D = rng.standard_normal((m, r))
     x = rng.standard_normal(m)
     obs = np.arange(0, m, 2)
     x[1::2] = np.nan
-    hp = OnlineHyperparams(r=r, eta=0.0, n_iter=20, tol=0.0)
-    _, _, info = complete_sample(OnlineModel(D), x, obs, KernelSpec.rbf(2.0), hp)
+    # an empty cache: the call builds its own K_DD
+    monkeypatch.setattr(ose, "_frozen", None)
+    _, (info,) = complete_new(D, [(x, obs)], KernelSpec.rbf(2.0), 0.1,
+                              n_iter=20, tol=0.0, return_info=True)
     assert info.iterations >= 3
     # the terminal objective is the only one
     assert len(count_objectives) == 1
@@ -117,7 +117,7 @@ def test_precomputed_kernels_give_identical_bits(spec):
     assert objective(spec, X, D, Z, 0.2, 0.1) == \
         objective(spec, X, D, Z, 0.2, 0.1, kernels)
 
-    x, z = X[:, 0], Z[:, 0]
-    k_xD = kernel_matrix(spec, x[:, None], D)[0]
-    assert sample_objective(spec, x, z, D, 0.2, 0.1) == \
-        sample_objective(spec, x, z, D, 0.2, 0.1, k_xD, kernels[1])
+    x, z = X[:, [0]], Z[:, [0]]
+    k_xD = kernel_matrix(spec, x, D)
+    assert objective(spec, x, D, z, 0.2, 0.1) == \
+        objective(spec, x, D, z, 0.2, 0.1, (k_xD, kernels[1]))

@@ -9,7 +9,7 @@ from kfmc import (KernelSpec, Mask, MaskedMatrix, NumericalError,
 from kfmc.kernels import kernel_matrix, power_weights
 from kfmc.offline import (_dictionary_parts, completion_step, dictionary_step,
                           fit, objective, solve_codes)
-from kfmc.online import _sample_step, sample_objective
+from kfmc.online import _sample_step
 
 
 def poly_feature_map(x, degree, offset):
@@ -90,13 +90,13 @@ def test_objective_matches_explicit_feature_map(rng):
                                   KernelSpec.poly(2, 0.7),
                                   KernelSpec.poly(3, 0.5)],
                          ids=["rbf", "poly1", "poly2", "poly3"])
-def test_objective_is_the_sum_of_sample_objectives(spec, rng):
+def test_objective_is_the_sum_of_column_objectives(spec, rng):
     X = rng.standard_normal((4, 6))
     D = rng.standard_normal((4, 3))
     Z = rng.standard_normal((3, 6))
     alpha, beta = 0.3, 0.2
     reg_d = np.trace(kernel_matrix(spec, D, D))
-    expected = sum(sample_objective(spec, X[:, j], Z[:, j], D, 0.0, beta)
+    expected = sum(objective(spec, X[:, [j]], D, Z[:, [j]], 0.0, beta)
                    for j in range(6)) + 0.5 * alpha * reg_d
     assert objective(spec, X, D, Z, alpha, beta) == pytest.approx(expected,
                                                                   rel=1e-12)

@@ -6,12 +6,12 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 
 from kfmc import (KernelSpec, NumericalError, OnlineHyperparams, OnlineModel,
-                  SyntheticSpec, complete_sample, generate,
-                  mean_pairwise_distance, impute_init, random_mask,
-                  relative_error, run_stream, sample_objective,
-                  update_dictionary)
+                  SyntheticSpec, generate, mean_pairwise_distance,
+                  impute_init, objective, random_mask, relative_error,
+                  run_stream, solve_codes)
 from kfmc.kernels import kernel_matrix, power_weights
 from kfmc import online
+from kfmc.online import update_dictionary
 from kfmc.ose import complete_new
 
 
@@ -26,26 +26,23 @@ def test_hyperparam_validation():
 
 def test_fully_observed_sample_unchanged(rng):
     D = rng.standard_normal((4, 3))
-    model = OnlineModel(D)
     x = rng.standard_normal(4)
-    hp = OnlineHyperparams(r=3, beta=0.1, seed=0)
-    x_hat, z, info = complete_sample(model, x, np.arange(4),
-                                     KernelSpec.rbf(1.0), hp)
-    assert np.array_equal(x_hat, x)
+    spec = KernelSpec.rbf(1.0)
+    x_hat, (info,) = complete_new(D, [(x, np.arange(4))], spec, 0.1,
+                                  return_info=True)
+    assert np.array_equal(x_hat[:, 0], x)
     assert info.converged and info.iterations == 0
-    K_DD = kernel_matrix(KernelSpec.rbf(1.0), D, D)
-    k = kernel_matrix(KernelSpec.rbf(1.0), x[:, None], D)[0]
+    K_DD = kernel_matrix(spec, D, D)
+    k = kernel_matrix(spec, x[:, None], D)[0]
     expected = np.linalg.solve(K_DD + 0.1 * np.eye(3), k)
-    assert np.allclose(z, expected)
+    assert np.allclose(solve_codes(spec, x[:, None], D, 0.1)[:, 0], expected)
 
 
 def test_code_solve_hand_value():
     # 2x2 identity dictionary, fully observed x = e1, poly(c=1, q=2), beta=1
-    model = OnlineModel(np.eye(2))
-    hp = OnlineHyperparams(r=2, alpha=0.0, beta=1.0, seed=0)
-    _, z, _ = complete_sample(model, np.array([1.0, 0.0]), np.array([0, 1]),
-                              KernelSpec.poly(2, 1.0), hp)
-    assert np.allclose(z, [19 / 24, 1 / 24])
+    z = solve_codes(KernelSpec.poly(2, 1.0), np.array([[1.0], [0.0]]),
+                    np.eye(2), 1.0)
+    assert np.allclose(z[:, 0], [19 / 24, 1 / 24])
 
 
 def test_code_step_matches_independent_minimizer(rng):
@@ -53,9 +50,7 @@ def test_code_step_matches_independent_minimizer(rng):
     D = rng.standard_normal((5, 3))
     x = rng.standard_normal(5)
     beta = 0.3
-    model = OnlineModel(D)
-    hp = OnlineHyperparams(r=3, alpha=0.0, beta=beta, seed=0)
-    _, z, _ = complete_sample(model, x, np.arange(5), spec, hp)
+    z = solve_codes(spec, x[:, None], D, beta)[:, 0]
 
     k = kernel_matrix(spec, x[:, None], D)[0]
     K_DD = kernel_matrix(spec, D, D)
@@ -66,6 +61,11 @@ def test_code_step_matches_independent_minimizer(rng):
     res = minimize(quad, np.zeros(3), method="L-BFGS-B",
                    options={"gtol": 1e-12})
     assert np.allclose(z, res.x, atol=1e-6)
+
+
+def _one_column_objective(spec, x, z, D, alpha, beta):
+    """The objective of one column x (m,) with its code z (r,)."""
+    return objective(spec, x[:, None], D, z[:, None], alpha, beta)
 
 
 def _random_sample_instance(seed, kind):
@@ -96,16 +96,16 @@ def test_inner_loop_monotone_without_momentum(kind):
         for _ in range(15):
             k = kernel_matrix(spec, cur[:, None], D)[0]
             z = cho_solve(chol, k)
-            objs.append(sample_objective(spec, cur, z, D, alpha, beta))
+            objs.append(_one_column_objective(spec, cur, z, D, alpha, beta))
             step = online._sample_step(spec, cur, z, D, k, tau)
             x_try = cur.copy()
             x_try[miss] -= step[miss]
-            after = sample_objective(spec, x_try, z, D, alpha, beta)
+            after = _one_column_objective(spec, x_try, z, D, alpha, beta)
             if after > objs[-1]:
                 step = online._sample_step(spec, cur, z, D, k, 2 * tau)
                 x_try = cur.copy()
                 x_try[miss] -= step[miss]
-                after = sample_objective(spec, x_try, z, D, alpha, beta)
+                after = _one_column_objective(spec, x_try, z, D, alpha, beta)
                 if after > objs[-1]:
                     break
             cur = x_try
@@ -115,19 +115,19 @@ def test_inner_loop_monotone_without_momentum(kind):
 
 
 @pytest.mark.parametrize("kind", ["poly", "rbf"])
-def test_complete_sample_does_not_increase_objective(kind):
+def test_complete_new_does_not_increase_objective(kind):
+    beta = 0.05
     for trial in range(20):
         D, x, obs, spec = _random_sample_instance(100 + trial, kind)
-        model = OnlineModel(D)
-        hp = OnlineHyperparams(r=4, alpha=0.1, beta=0.05, eta=0.0, n_iter=25,
-                               tol=0.0, seed=0)
         xs = np.where(np.isin(np.arange(6), obs), x, np.nan)
-        x_hat, z, info = complete_sample(model, xs, obs, spec, hp)
+        _, (info,) = complete_new(D, [(xs, obs)], spec, beta, n_iter=25,
+                                  tol=0.0, return_info=True)
         x0 = online._prepare_columns([(xs, obs)], D)[0][:, 0]
         k0 = kernel_matrix(spec, x0[:, None], D)[0]
         K_DD = kernel_matrix(spec, D, D)
-        z0 = np.linalg.solve(K_DD + hp.beta * np.eye(4), k0)
-        start = sample_objective(spec, x0, z0, D, hp.alpha, hp.beta)
+        z0 = np.linalg.solve(K_DD + beta * np.eye(4), k0)
+        # complete_new's terminal objective has no dictionary term
+        start = _one_column_objective(spec, x0, z0, D, 0.0, beta)
         assert info.objective <= start + 1e-9 * max(abs(start), 1e-30)
 
 
@@ -136,7 +136,8 @@ def test_update_dictionary_stationary_cases(rng):
     x = rng.standard_normal(4)
     hp = OnlineHyperparams(r=3, alpha=0.0, beta=0.1, eta=0.5, seed=0)
     model = OnlineModel(D)
-    update_dictionary(model, x, np.zeros(3), KernelSpec.poly(2, 1.0), hp)
+    update_dictionary(model, x[:, None], np.zeros((3, 1)),
+                      KernelSpec.poly(2, 1.0), hp)
     assert np.array_equal(model.dictionary, D)
 
 
@@ -167,7 +168,7 @@ def test_update_dictionary_sufficient_decrease_poly():
         model = OnlineModel(D)
         hp = OnlineHyperparams(r=ra, alpha=alpha, beta=0.1, tau=tau, eta=0.0,
                                seed=0)
-        update_dictionary(model, x, z, spec, hp)
+        update_dictionary(model, x[:, None], z[:, None], spec, hp)
         dec = frozen(model.dictionary) - frozen(D)
         bound = -np.sum(grad * grad) / (2 * tau * tau0)
         assert dec <= bound + 1e-8
@@ -186,15 +187,13 @@ def test_update_dictionary_scales_by_spectral_norm(monkeypatch, rng, case):
         grad = rng.standard_normal((5, r))
         monkeypatch.setattr(online, "_dictionary_parts",
                             lambda *args, **kwargs: (grad, H.copy()))
-        # one column (m,), then blocks (m, b) whose step grows by sqrt(b)
-        for b in (None, 1, 2, 5):
-            shape = () if b is None else (b,)
+        # blocks (m, b), whose step grows by sqrt(b)
+        for b in (1, 2, 5):
             model = OnlineModel(rng.standard_normal((5, r)))
-            update_dictionary(model, rng.standard_normal((5, *shape)),
-                              rng.standard_normal((r, *shape)),
+            update_dictionary(model, rng.standard_normal((5, b)),
+                              rng.standard_normal((r, b)),
                               KernelSpec.rbf(1.0), hp)
-            expected = grad / (hp.tau * np.linalg.norm(H, 2)
-                               / np.sqrt(b or 1))
+            expected = grad / (hp.tau * np.linalg.norm(H, 2) / np.sqrt(b))
             # with eta = 0 the momentum buffer holds the step itself
             assert (np.linalg.norm(model.dict_momentum - expected)
                     <= 1e-12 * np.linalg.norm(expected))
@@ -209,9 +208,10 @@ def test_update_dictionary_rbf_runs_and_descends(rng):
     k = kernel_matrix(spec, x[:, None], D)[0]
     K_DD = kernel_matrix(spec, D, D)
     z = np.linalg.solve(K_DD + hp.beta * np.eye(4), k)
-    before = sample_objective(spec, x, z, D, hp.alpha, hp.beta)
-    update_dictionary(model, x, z, spec, hp)
-    after = sample_objective(spec, x, z, model.dictionary, hp.alpha, hp.beta)
+    before = _one_column_objective(spec, x, z, D, hp.alpha, hp.beta)
+    update_dictionary(model, x[:, None], z[:, None], spec, hp)
+    after = _one_column_objective(spec, x, z, model.dictionary, hp.alpha,
+                                  hp.beta)
     assert after <= before
 
 
@@ -273,42 +273,11 @@ def test_run_stream_deterministic():
 
 def test_fully_missing_column_completes_from_prior(rng):
     D = rng.standard_normal((5, 4))
-    model = OnlineModel(D)
-    hp = OnlineHyperparams(r=4, alpha=0.1, beta=0.1, eta=0.5, n_iter=10, seed=0)
     x = np.full(5, np.nan)
-    x_hat, z, info = complete_sample(model, x, np.array([], dtype=int),
-                                     KernelSpec.rbf(1.5), hp)
+    x_hat = complete_new(D, [(x, np.array([], dtype=int))],
+                         KernelSpec.rbf(1.5), 0.1, n_iter=10)
+    assert x_hat.shape == (5, 1)
     assert np.all(np.isfinite(x_hat))
-    assert z.shape == (4,)
-
-
-def test_online_path_memory_stays_model_sized(rng):
-    # no buffer sized by the stream length: peak allocation during the
-    # per-sample calls stays within a small multiple of m*r + r^2
-    m, r, n = 40, 10, 1500
-    D0 = rng.standard_normal((m, r))
-    model = OnlineModel(D0)
-    spec = KernelSpec.rbf(3.0)
-    hp = OnlineHyperparams(r=r, alpha=0.1, beta=1e-3, eta=0.5, n_iter=5, seed=0)
-    budget_bytes = 100 * (m * r + r * r) * 8
-    stream_buffer_bytes = n * m * 8
-    assert budget_bytes < stream_buffer_bytes
-    peak_inside = 0
-    tracemalloc.start()
-    try:
-        for j in range(n):
-            x = rng.standard_normal(m)
-            obs = rng.choice(m, size=25, replace=False)
-            xs = np.full(m, np.nan)
-            xs[obs] = x[obs]
-            tracemalloc.reset_peak()
-            x_hat, z, _ = complete_sample(model, xs, obs, spec, hp)
-            update_dictionary(model, x_hat, z, spec, hp)
-            _, peak = tracemalloc.get_traced_memory()
-            peak_inside = max(peak_inside, peak)
-    finally:
-        tracemalloc.stop()
-    assert peak_inside <= budget_bytes
 
 
 def test_block_step_memory_stays_model_sized(rng):
@@ -344,10 +313,10 @@ def test_block_step_memory_stays_model_sized(rng):
 
 
 def test_sample_length_mismatch(rng):
-    model = OnlineModel(rng.standard_normal((4, 2)))
-    hp = OnlineHyperparams(r=2, seed=0)
+    D = rng.standard_normal((4, 2))
     with pytest.raises(ValueError):
-        complete_sample(model, np.zeros(5), np.arange(5), KernelSpec.rbf(1.0), hp)
+        complete_new(D, [(np.zeros(5), np.arange(5))], KernelSpec.rbf(1.0),
+                     0.1)
 
 
 @pytest.mark.parametrize("bad", [-1, 4])
@@ -449,8 +418,8 @@ def test_non_finite_ground_truth_leaves_model_untouched(rng):
 
 
 def _reference_stream(samples, spec, hp, truth):
-    """The stream as one complete_sample and one update_dictionary per
-    column, with run_stream's running cost and error."""
+    """The stream as one inner loop and one update_dictionary per column,
+    with run_stream's running cost and error."""
     m = len(samples[0][0])
     model = OnlineModel(
         np.random.default_rng(hp.seed).standard_normal((m, hp.r)))
@@ -459,10 +428,14 @@ def _reference_stream(samples, spec, hp, truth):
     cost_sum, seen, err_sum, visits = 0.0, 0, 0.0, 0
     for _ in range(hp.n_pass):
         for j, (_, obs) in enumerate(samples):
-            x_hat, z, info, kernels = complete_sample(
-                model, work[:, j], obs, spec, hp, return_kernels=True)
-            update_dictionary(model, x_hat, z, spec, hp, kernels)
-            work[:, j] = x_hat
+            D = model.dictionary
+            X0, missing = online._prepare_columns([(work[:, j], obs)], D)
+            system = online._code_system(spec, D, hp.beta)
+            X, Z, K, (info,) = online._complete_block(
+                spec, D, system, X0, missing, tau=hp.tau, n_iter=hp.n_iter,
+                tol=hp.tol, alpha=hp.alpha, beta=hp.beta)
+            update_dictionary(model, X, Z, spec, hp, (K.T, system[0]))
+            work[:, j] = X[:, 0]
             if np.isnan(last[j]):
                 seen += 1
                 cost_sum += info.objective
@@ -471,7 +444,7 @@ def _reference_stream(samples, spec, hp, truth):
             last[j] = info.objective
             model.cost_trace.append(cost_sum / seen)
             visits += 1
-            err_sum += np.linalg.norm(truth[:, j] - x_hat) / max(
+            err_sum += np.linalg.norm(truth[:, j] - work[:, j]) / max(
                 np.linalg.norm(truth[:, j]), 1e-30)
             model.err_trace.append(err_sum / visits)
     return work, model

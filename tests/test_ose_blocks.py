@@ -9,8 +9,7 @@ import pytest
 
 from kfmc import KernelSpec, NumericalError, complete_new
 from kfmc.kernels import column_sq_norms, kernel_matrix
-from kfmc.online import (OnlineHyperparams, OnlineModel, _prepare_columns,
-                         complete_sample)
+from kfmc.online import _prepare_columns
 from kfmc.ose import BLOCK, STACK
 
 M, R, BETA = 9, 5, 1e-3
@@ -208,31 +207,6 @@ def test_kernel_matrix_of_a_stack_equals_each_block_alone(spec):
         cols = slice(b * BLOCK, (b + 1) * BLOCK)
         alone = np.ascontiguousarray(stack[:, cols])
         assert np.array_equal(K[:, cols], kernel_matrix(spec, D, alone))
-
-
-@pytest.mark.parametrize("bad", [-1, M])
-def test_complete_sample_checks_indices_of_a_public_caller(bad):
-    # run_stream checks each sample's indices once and marks them checked;
-    # a caller of complete_sample always gets the check, list indices too
-    x, obs = _samples(1, seed=10)[0]
-    hp = OnlineHyperparams(r=R, beta=BETA)
-    with pytest.raises(ValueError, match="observed indices"):
-        complete_sample(OnlineModel(_dictionary()), x, list(obs) + [bad],
-                        SPECS[0], hp)
-
-
-@pytest.mark.parametrize("idx", [[True, True, False, True, False, False],
-                                 [0.0, 1.9, 3.7], [0, 0, 0, 1, 3]],
-                         ids=["bool-mask", "float", "repeated"])
-def test_complete_sample_rejects_non_integer_or_repeated_indices(idx):
-    # x = [1, 2, nan, 4, nan, nan] with rows 0, 1 and 3 observed: the mask
-    # would be read as rows [1, 1, 0, 1, 0, 0], the floats as [0, 1, 3],
-    # and [0, 0, 0, 1, 3] would fill 1.8 where [0, 1, 3] fills 7 / 3
-    x = np.array([1.0, 2.0, np.nan, 4.0, np.nan, np.nan])
-    model = OnlineModel(np.random.default_rng(12).standard_normal((6, R)))
-    hp = OnlineHyperparams(r=R, beta=BETA)
-    with pytest.raises(ValueError, match="integers|repeat"):
-        complete_sample(model, x, np.array(idx), SPECS[0], hp)
 
 
 def test_an_empty_index_list_means_nothing_observed():
