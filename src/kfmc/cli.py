@@ -362,13 +362,11 @@ def cmd_ose(args) -> int:
             raise ValueError("either --model or --baseline ose-lrf is required")
         D, spec, beta, _ = _load_model(args, args.model, m)
         X_hat, infos = complete_new(D, samples, spec, beta, n_iter=args.n_iter,
-                                    tau=args.tau, tol=args.tol,
-                                    return_info=True)
+                                    tol=args.tol, return_info=True)
         payload = {"method": f"ose-kfmc-{spec.kind}",
                    "kernel": kernel_to_dict(spec),
                    "hyperparameters": {"beta": beta, "n_iter": args.n_iter,
-                                       "tau": args.tau, "tol": args.tol,
-                                       "r": int(D.shape[1])},
+                                       "tol": args.tol, "r": int(D.shape[1])},
                    "iterations": n,
                    **_inner_loop_report(sum(i.iterations for i in infos),
                                         sum(i.hit_iter_limit for i in infos),
@@ -397,7 +395,6 @@ def _add_run_flags(p):
     p.add_argument("--beta", type=float, default=None,
                    help="default: the checkpoint's beta when one is read, "
                         "else 1e-4 (rbf) or 0.1 (poly)")
-    p.add_argument("--tau", type=float, default=OnlineHyperparams.tau)
     p.add_argument("--tol", type=float, default=OnlineHyperparams.tol,
                    help="stop when the relative change falls below this: "
                         "of the objective over one sweep (complete), of a "
@@ -412,6 +409,9 @@ def _add_fit_flags(p):
     """Flags shared by complete and stream: the run flags and the kernel."""
     p.add_argument("--data", required=True)
     _add_run_flags(p)
+    p.add_argument("--tau", type=float, default=OnlineHyperparams.tau,
+                   help="relaxation > 1 of every step (complete), of the "
+                        "dictionary step only (stream); default %(default)s")
     p.add_argument("--eta", type=float, default=OnlineHyperparams.eta,
                    help="momentum weight in [0, 1): of every step (complete), "
                         "of the dictionary step only (stream); "

@@ -40,7 +40,7 @@ from .masking import MaskedMatrix
 EPS_DIAG = 1e-12
 
 
-def _check_settings(*, tau: float, eta: float = 0.0, r: int = 1,
+def _check_settings(*, tau: float = 2.0, eta: float = 0.0, r: int = 1,
                     alpha: float = 0.0, beta: float = 0.0,
                     n_iter: int = 1) -> None:
     """Raise ValueError unless r >= 1, tau > 1, alpha, beta >= 0, eta lies

@@ -1,14 +1,14 @@
 """Streaming completion: block inference plus SGD dictionary updates.
 
 Each block of :data:`BATCH` columns is completed by alternating an exact
-code solve with a relaxed Newton step on its unobserved entries, mixed by
-Anderson acceleration; then the dictionary takes one gradient step over
-the spectral norm of the block's curvature divided by sqrt(b) (mini-batches
-as in arXiv:0908.0050, the sqrt(b) rule of arXiv:1404.5997).  The step,
-the per-column objective and the code solve are the batch solver's
-(:mod:`kfmc.offline`), so all three solvers share one algebra.  Model
-state is O(m*r + r^2), except ``cost_trace`` / ``err_trace``, which gain
-one entry per visit; :func:`run_stream` also holds the (m, n) stream.
+code solve with a full Newton step on its unobserved entries, mixed by
+Anderson acceleration; then the dictionary takes one gradient step over tau
+times the spectral norm of the block's curvature divided by sqrt(b)
+(mini-batches as in arXiv:0908.0050, the sqrt(b) rule of arXiv:1404.5997).
+The step, the per-column objective and the code solve are the batch solver's
+(:mod:`kfmc.offline`), so all three solvers share one algebra.  Model state
+is O(m*r + r^2), except ``cost_trace`` / ``err_trace``, which gain one entry
+per visit; :func:`run_stream` also holds the (m, n) stream.
 
 One inner loop, :func:`_complete_block`, serves the streaming and the
 out-of-sample solvers.  It works on an (m, n) array of columns, taken as
@@ -53,14 +53,14 @@ class OnlineHyperparams:
     """Streaming solver settings: as the batch solver, plus the number of
     inner iterations per sample and the number of passes over the stream.
 
-    eta is the momentum weight of the dictionary step only: the inner loop
-    mixes its steps by Anderson acceleration instead.  The inner loop stops
-    a column once one iteration changes its missing entries by less than
-    tol relative to their norm, or after n_iter iterations.  At the default
-    tol = 1e-3 and tau = 2 a column of the union-nonlinear preset (m = 30,
-    r = 60) takes about 9 iterations and hardly ever reaches the n_iter = 30
-    cap; tol = 1e-6 takes about 16.  The defaults of n_iter, tau and tol are
-    also those of :func:`kfmc.ose.complete_new`.
+    tau relaxes and eta gives momentum to the dictionary step only: the
+    inner loop takes full Newton steps, mixed by Anderson acceleration.  The
+    inner loop stops a column once one iteration changes its missing
+    entries by less than tol relative to their norm, or after n_iter
+    iterations.  At the default tol = 1e-3 a column of the union-nonlinear
+    preset (m = 30, r = 60) takes about 7 iterations and hardly ever
+    reaches the n_iter = 30 cap; tol = 1e-6 takes about 12.  The defaults
+    of n_iter and tol are also those of :func:`kfmc.ose.complete_new`.
     """
 
     r: int
@@ -125,17 +125,18 @@ def _code_system(spec: KernelSpec, D: np.ndarray, beta: float):
 
 
 def _complete_block(spec: KernelSpec, D: np.ndarray, system, X: np.ndarray,
-                    missing: np.ndarray, *, tau: float, n_iter: int,
-                    tol: float, alpha: float, beta: float,
-                    block: int | None = None):
+                    missing: np.ndarray, *, n_iter: int, tol: float,
+                    alpha: float, beta: float, block: int | None = None):
     """Inner loop on the columns of X (m, n): alternate exact code solves
-    with Newton steps on the entries where ``missing`` is True, mixed by
-    Anderson acceleration.
+    with full Newton steps on the entries where ``missing`` is True, mixed
+    by Anderson acceleration.
 
     ``system`` comes from :func:`_code_system`.  ``X`` is completed in
     place, so the caller passes an array of its own.  A column with nothing
     missing never moves.  The plain iteration is g(x) = x - step(x) on a
-    column's missing entries x.  Anderson mixing (Anderson, J. ACM 12, 1965;
+    column's missing entries x, the step of :func:`kfmc.offline._sample_step`
+    unrelaxed: the mixing needs no damping, and relaxing by tau = 2 took a
+    fourth more iterations.  Anderson mixing (Anderson, J. ACM 12, 1965;
     Walker & Ni, SIAM J. Numer. Anal. 49, 2011) keeps the last
     :data:`MEMORY` differences of a column's steps and of its g, fits the
     step by the step differences in least squares, and moves to g minus the
@@ -150,7 +151,8 @@ def _complete_block(spec: KernelSpec, D: np.ndarray, system, X: np.ndarray,
     column and each column solves its own system, so a block gets the bits
     it gets alone, and a block whose columns have all stopped leaves the
     working set.  Returns the completed X, the codes and k(D, x) of each
-    column (r, n), and one :class:`SampleInfo` per column.  Raises
+    column (r, n), and per column (n,) whether it met tol, its iterations
+    and its terminal objective, the fields of :class:`SampleInfo`.  Raises
     :class:`NumericalError` naming the first non-finite column in
     ``sample_index``; a non-finite entry stays non-finite, so checking once
     at the end finds every column that failed on the way.
@@ -206,7 +208,7 @@ def _complete_block(spec: KernelSpec, D: np.ndarray, system, X: np.ndarray,
                 n = X.shape[1]
         Z = block_product(solve_op, K, block)
         step, g = hist[0]
-        _sample_step(spec, X, Z, D, K, tau, block).take(at, out=step)
+        _sample_step(spec, X, Z, D, K, 1.0, block).take(at, out=step)
         np.subtract(x, step, out=g)
         if k:
             level = np.add.reduce(K * Z, axis=0)
@@ -274,9 +276,7 @@ def _complete_block(spec: KernelSpec, D: np.ndarray, system, X: np.ndarray,
     if failed.any():
         raise NumericalError("sample completion produced non-finite values",
                              sample_index=int(np.argmax(failed)))
-    infos = [SampleInfo(c, i, o) for c, i, o in
-             zip(done.tolist(), iterations.tolist(), objective.tolist())]
-    return X, Z, K, infos
+    return X, Z, K, done, iterations, objective
 
 
 def _prepare_columns(samples, D: np.ndarray, prior: bool = True):
@@ -405,26 +405,25 @@ def run_stream(samples, spec: KernelSpec, hp: OnlineHyperparams,
                 np.copyto(X, D.mean(axis=1)[:, None], where=bad)
             try:
                 system = _code_system(spec, D, hp.beta)
-                X, Z, K, infos = _complete_block(
-                    spec, D, system, X, missing[:, cols], tau=hp.tau,
-                    n_iter=hp.n_iter, tol=hp.tol, alpha=hp.alpha,
-                    beta=hp.beta)
+                X, Z, K, converged, iterations, objective = _complete_block(
+                    spec, D, system, X, missing[:, cols], n_iter=hp.n_iter,
+                    tol=hp.tol, alpha=hp.alpha, beta=hp.beta)
                 update_dictionary(model, X, Z, spec, hp, (K.T, system[0]))
             except NumericalError as exc:
                 exc.sample_index = start + (exc.sample_index or 0)
                 exc.model = model
                 raise
             work[:, cols] = X
-            for j, info in enumerate(infos, start):
-                model.samples_seen += 1
-                model.inner_iterations += info.iterations
-                model.samples_hit_iter_limit += info.hit_iter_limit
+            model.samples_seen += X.shape[1]
+            model.inner_iterations += int(iterations.sum())
+            model.samples_hit_iter_limit += int(np.count_nonzero(~converged))
+            for j, cost in enumerate(objective.tolist(), start):
                 if np.isnan(last_cost[j]):
                     seen += 1
-                    cost_sum += info.objective
+                    cost_sum += cost
                 else:
-                    cost_sum += info.objective - last_cost[j]
-                last_cost[j] = info.objective
+                    cost_sum += cost - last_cost[j]
+                last_cost[j] = cost
                 model.cost_trace.append(cost_sum / seen)
                 if ground_truth is not None:
                     truth = ground_truth[:, j]

@@ -58,7 +58,6 @@ def train_dictionary(X_train: np.ndarray, spec: KernelSpec,
 
 def complete_new(D: np.ndarray, samples, spec: KernelSpec, beta: float,
                  n_iter: int = OnlineHyperparams.n_iter,
-                 tau: float = OnlineHyperparams.tau,
                  tol: float = OnlineHyperparams.tol,
                  return_info: bool = False):
     """Complete a batch of (x, observed_idx) samples without touching D.
@@ -70,22 +69,23 @@ def complete_new(D: np.ndarray, samples, spec: KernelSpec, beta: float,
     share it.  The samples are prepared together.  They then run the
     streaming solver's inner loop, minus any dictionary update, on
     zero-padded blocks of :data:`BLOCK` columns side by side (per
-    :data:`STACK` columns).  Each product in the loop is one
-    BLOCK-wide product per block, so results are bitwise independent of
-    batch composition, size and order.  The defaults of n_iter, tau and tol
-    are those of :class:`kfmc.online.OnlineHyperparams`: a column stops once
-    one iteration changes its missing entries by less than tol relative to
-    their norm.  Anderson mixing of the steps takes a column of the
+    :data:`STACK` columns).  Each product in the loop is one BLOCK-wide
+    product per block, so results are bitwise independent of batch
+    composition, size and order.  The defaults of n_iter and tol are those
+    of :class:`kfmc.online.OnlineHyperparams`: a column stops once one
+    iteration changes its missing entries by less than tol relative to their
+    norm.  Anderson mixing of full Newton steps takes a column of the
     benchmark's cases (m = 30, r = 60, 30% missing) to tol = 1e-3 in about
-    8.5 of the 30 iterations.  A block iterates until its slowest column
-    stops, then leaves the loop.  A bad beta, tau or n_iter, index or
-    observed value raises ValueError; indices must be distinct integers.
-    A :class:`NumericalError` names a failing sample in ``sample_index``; an
+    6.7 of the 30 iterations.  A block iterates until its slowest column
+    stops, then leaves the loop.  ``return_info`` adds one
+    :class:`SampleInfo` per sample.  A bad beta or n_iter, index or observed
+    value raises ValueError; indices must be distinct integers.  A
+    :class:`NumericalError` names a failing sample in ``sample_index``; an
     indefinite K_DD + beta I raises one up front.
     """
     global _frozen
     D = np.asarray(D, dtype=float)
-    _check_settings(tau=tau, beta=beta, n_iter=n_iter)
+    _check_settings(beta=beta, n_iter=n_iter)
     key, entry = (spec, float(beta), D.shape), _frozen
     if entry is not None and entry[0] == key and np.array_equal(
             entry[1].view(np.uint64), D.view(np.uint64)):
@@ -102,20 +102,19 @@ def complete_new(D: np.ndarray, samples, spec: KernelSpec, beta: float,
     padded_missing = np.zeros((m, width), dtype=bool)
     padded_missing[:, :n] = missing
     del X0, missing  # not needed in the loop, whose peak memory they raise
-    infos: list[SampleInfo] = []
+    stats = []  # per stack: converged, iterations, objective
     for j0 in range(0, width, STACK):
         cols = slice(j0, j0 + STACK)
         try:
-            X_stack, _, _, stack_infos = _complete_block(
+            X_stack, _, _, *stack_stats = _complete_block(
                 spec, D, system, np.ascontiguousarray(X[:, cols]),
-                np.ascontiguousarray(padded_missing[:, cols]), tau=tau,
-                n_iter=n_iter, tol=tol, alpha=0.0, beta=beta,
-                block=BLOCK)
+                np.ascontiguousarray(padded_missing[:, cols]), n_iter=n_iter,
+                tol=tol, alpha=0.0, beta=beta, block=BLOCK)
         except NumericalError as exc:
             exc.sample_index += j0
             raise
         X[:, cols] = X_stack
-        infos += stack_infos
+        stats.append(stack_stats)
     if entry is None:
         entry = (key, D.copy(), system)
         for a in (entry[1], *system):
@@ -123,5 +122,7 @@ def complete_new(D: np.ndarray, samples, spec: KernelSpec, beta: float,
         _frozen = entry
     out = np.ascontiguousarray(X[:, :n])
     if return_info:
-        return out, infos[:n]
+        # one SampleInfo per sample, none for the padding columns
+        fields = (np.concatenate(a)[:n].tolist() for a in zip(*stats))
+        return out, list(map(SampleInfo, *fields))
     return out

@@ -234,6 +234,15 @@ def test_ose_reports_inner_loops(union_dir, tmp_path):
     assert 0 <= report["samples_hit_iter_limit"] <= 100
 
 
+def test_ose_has_no_tau(union_dir, trained_model, tmp_path, capsys):
+    # ose takes full Newton steps: a --tau that stream accepts is refused
+    with pytest.raises(SystemExit) as exc:
+        run("ose", "--model", trained_model, "--input", union_dir / "data.csv",
+            "--mask", union_dir / "mask.csv", "--tau", 2, "--out", tmp_path)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tau" in capsys.readouterr().err
+
+
 def test_ose_shape_mismatch_exit_2(union_dir, tmp_path, rng):
     train_out = tmp_path / "train"
     run("stream", "--data", union_dir / "data.csv",
@@ -427,12 +436,13 @@ def test_frozen_runs_reject_bad_solver_settings_exit_2(
     else:
         argv = (*_stream_from_checkpoint(command, trained_model,
                                          union_dir / "data.csv"), *data)
-    if command == "ose" and flags[0] == "--eta":
-        # ose has no momentum, so no --eta: argparse exits with status 2
+    if command == "ose" and flags[0] in ("--eta", "--tau"):
+        # ose has no momentum and takes full steps, so no --eta and no
+        # --tau: argparse exits with status 2
         with pytest.raises(SystemExit) as exc:
             run(*argv)
         assert exc.value.code == 2
-        assert "unrecognized arguments: --eta" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
     else:
         assert run(*argv) == 2
     if command == "stream-passes-0":
@@ -640,10 +650,11 @@ def test_resumed_stream_carries_samples_seen(union_dir, tmp_path):
     assert header["metadata"]["samples_seen"] == 600
     report = load_report(tmp_path / "s2")
     assert report["iterations"] == 600
-    # the inner-loop keys describe this run's 200 visits: all run to the cap
-    # of 3, and 4 of them meet tol on that third iteration
-    assert report["mean_inner_iterations"] == 3.0
-    assert report["samples_hit_iter_limit"] == 196
+    # the inner-loop keys describe this run's 200 visits: one meets tol on
+    # its second iteration, the others run to the cap of 3, and 22 of them
+    # meet tol on that third iteration
+    assert report["mean_inner_iterations"] == 599 / 200
+    assert report["samples_hit_iter_limit"] == 177
 
 
 def test_resume_without_samples_seen_starts_at_zero(union_dir, trained_model,
@@ -684,11 +695,11 @@ def test_tol_defaults_per_command(union_dir, trained_model, tmp_path):
     # the other defaults are those of each command's settings class
     for out, cls, keys in [
             ("c", OfflineHyperparams, ("tau", "eta", "alpha", "t_max")),
-            ("s", OnlineHyperparams, ("tau", "eta", "alpha")),
-            ("o", OnlineHyperparams, ("tau",))]:
+            ("s", OnlineHyperparams, ("tau", "eta", "alpha"))]:
         assert {k: hps[out][k] for k in keys} == \
             {k: getattr(cls, k) for k in keys}, out
-    assert "eta" not in hps["o"]
+    # ose takes full steps without momentum
+    assert "eta" not in hps["o"] and "tau" not in hps["o"]
 
 
 def test_inner_loop_default_stops_by_tol(tmp_path):

@@ -117,18 +117,16 @@ def test_complete_new_stopping_by_tol_only_cuts_the_run_short(problem, seed):
 
 @SETTINGS
 @given(st.integers(4, 9), st.integers(1, 12),
-       st.sampled_from(LONG_STEP_SPECS), st.floats(1.01, 2.0),
-       st.integers(0, 2**32 - 1))
-def test_guarded_complete_new_is_column_wise_in_any_order(m, n, spec, tau,
-                                                          seed):
-    # long steps (tau near 1) and tol = 0: every column with a missing
-    # entry runs all 12 iterations
+       st.sampled_from(LONG_STEP_SPECS), st.integers(0, 2**32 - 1))
+def test_guarded_complete_new_is_column_wise_in_any_order(m, n, spec, seed):
+    # full steps and tol = 0: every column with a missing entry runs all 12
+    # iterations
     rng = np.random.default_rng(seed)
     D = rng.standard_normal((m, 5))
     values = 2.0 * rng.standard_normal((m, n))
     observed = rng.random((m, n)) < 0.6
     samples = _samples(values, observed)
-    run = dict(n_iter=12, tau=tau, tol=0.0, return_info=True)
+    run = dict(n_iter=12, tol=0.0, return_info=True)
     out, infos = complete_new(D, samples, spec, 1e-3, **run)
     assert np.array_equal(out[observed], values[observed])
     perm = rng.permutation(n)
