@@ -173,8 +173,11 @@ def _beta(args, spec, metadata=None, path=None) -> float:
 
 def _load_model(args, path, m):
     """Dictionary, kernel, beta and samples seen of a checkpoint for m rows.
-    A checkpoint without ``samples_seen`` has seen 0 samples."""
+    A checkpoint without ``samples_seen`` has seen 0 samples.  The format
+    round-trips any bits, so a non-finite dictionary is refused here."""
     D, spec, header = load_checkpoint(path)
+    if not np.all(np.isfinite(D)):
+        raise ValueError(f"{path}: dictionary has non-finite values")
     if D.shape[0] != m:
         raise ValueError(f"checkpoint rows {D.shape[0]} != data rows {m}")
     metadata = header.get("metadata", {})
@@ -291,6 +294,13 @@ def cmd_stream(args) -> int:
             raise ValueError(f"checkpoint kernel {spec.kind!r} does not match "
                              f"--kernel {args.kernel!r}")
         r = D0.shape[1]
+        if args.r is not None and args.r != r:
+            raise ValueError(f"--r {args.r} does not match the checkpoint's "
+                             f"r {r}")
+        if args.sigma is not None and (spec.is_poly or args.sigma != spec.sigma):
+            stored = "no sigma (poly)" if spec.is_poly else f"sigma {spec.sigma}"
+            raise ValueError(f"--sigma {args.sigma} does not match the "
+                             f"checkpoint, whose kernel has {stored}")
         # the count carries over; the inner-loop totals are this run's
         model = OnlineModel(D0)
         model.samples_seen = seen

@@ -18,11 +18,12 @@ zero-padded blocks of a fixed width.  Each step is a column-wise array
 operation, a product that runs once per block at the block's fixed shape
 (:func:`kfmc.kernels.block_product`), or a small system solved per column,
 and a finished column is frozen, so with a fixed width a column's bits
-depend on neither its position, its block nor its neighbours; a block
-whose columns have all stopped leaves the loop.  Each kernel is evaluated
-once per state and handed to every consumer: K_DD once per dictionary,
-next to the solve operator, and K(D, X) once per state of the running
-blocks, so an iteration costs one kernel, of its new point.
+depend on neither its position, its block nor its neighbours.  The kernels
+and codes of an iteration span every column, stopped or not; with Anderson
+mixing the blocks of a call stop within a few iterations of each other.
+Each kernel is evaluated once per state and handed to every consumer: K_DD
+once per dictionary, next to the solve operator, and K(D, X) once per state
+of the columns, so an iteration costs one kernel, of its new point.
 """
 from __future__ import annotations
 
@@ -149,8 +150,7 @@ def _complete_block(spec: KernelSpec, D: np.ndarray, system, X: np.ndarray,
     side by side: every product runs once per block (see
     :func:`kfmc.kernels.block_product`), every sum runs down the rows of one
     column and each column solves its own system, so a block gets the bits
-    it gets alone, and a block whose columns have all stopped leaves the
-    working set.  Returns the completed X, the codes and k(D, x) of each
+    it gets alone.  Returns the completed X, the codes and k(D, x) of each
     column (r, n), and per column (n,) whether it met tol, its iterations
     and its terminal objective, the fields of :class:`SampleInfo`.  Raises
     :class:`NumericalError` naming the first non-finite column in
@@ -175,37 +175,12 @@ def _complete_block(spec: KernelSpec, D: np.ndarray, system, X: np.ndarray,
     # hist[0] holds the step and g at those entries, and hist[1:] a ring of
     # the last MEMORY differences of both
     hist = np.zeros((MEMORY + 1, 2, x.size))
-    # several blocks: finished ones go to ``result``; the working set keeps
-    # the others, whose columns of X are ``cols``
-    blocks = block is not None and n > block
-    if blocks:
-        cols = np.arange(n)
-        result = [X] + [np.empty_like(a) for a in (K, iterations, done)]
     # each column's objective at its last accepted iterate, as
     # k(D, x)'z - k(x, x), minus twice the objective at the exact code up to
     # a constant (-inf: accept the next iterate as it comes)
     last = np.full(n, -np.inf)
     k = 0
-    stopped = True  # look for finished blocks before the first iteration
     while who.size and k < n_iter:
-        if blocks and stopped:
-            finished = np.repeat(done.reshape(-1, block).all(axis=1), block)
-            # count_nonzero costs a fraction of .any() on short arrays
-            if np.count_nonzero(finished):
-                for out, a in zip(result, (X, K, iterations, done)):
-                    out[..., cols[finished]] = a[..., finished]
-                # renumber the running columns in the remaining ones
-                renumber = np.cumsum(~finished) - 1
-                who = renumber.take(who)
-                at = at // n * (n - np.count_nonzero(finished)) \
-                    + renumber.take(at % n)
-                # np.take keeps C order; a boolean gather comes back in
-                # Fortran order, which BLAS reads transposed, other bits
-                keep = np.flatnonzero(~finished)
-                X, K, done, iterations, last, cols = (
-                    np.ascontiguousarray(a.take(keep, axis=-1)) for a in
-                    (X, K, done, iterations, last, cols))
-                n = X.shape[1]
         Z = block_product(solve_op, K, block)
         step, g = hist[0]
         _sample_step(spec, X, Z, D, K, 1.0, block).take(at, out=step)
@@ -264,10 +239,6 @@ def _complete_block(spec: KernelSpec, D: np.ndarray, system, X: np.ndarray,
                 starts = np.cumsum(counts) - counts
             who = who[~stop]
     iterations[who] = k
-    if blocks:
-        for out, a in zip(result, (X, K, iterations, done)):
-            out[..., cols] = a
-        X, K, iterations, done = result
     Z = block_product(solve_op, K, block)
     objective = _column_objective(spec, X, Z, K, K_DD, alpha, beta,
                                   _dictionary_reg(spec, D), block)

@@ -12,8 +12,8 @@ the columns, so each column is computed by the same kernel and summation
 order whatever its position, its block, its neighbours or the number of
 columns in the call: a column's output is bitwise the same alone, in bulk,
 or in any order.  Products of varying width do not guarantee that.  A
-block whose columns have all stopped leaves the loop; a one-block call
-(a single request) runs the loop on that block alone.
+stack iterates until its slowest column stops; a one-block call (a single
+request) runs the loop on that block alone.
 """
 from __future__ import annotations
 
@@ -31,10 +31,11 @@ from .online import (OnlineHyperparams, SampleInfo, _code_system,
 BLOCK = 8
 # Most columns per stack (a multiple of BLOCK); a longer call runs one stack
 # after another, so the loop's temporaries (m or r by STACK) stay bounded.
-# At m = 30, r = 60, a 1024-column call took 0.037 ms per column with
-# stacks of 64, 0.031 with 128 and 0.027-0.028 with 256 to 2048 (CPU time,
-# best of 5 runs of 9 calls, 2-vCPU x86 host, single-threaded OpenBLAS):
-# wider stacks do not pay, since finished blocks leave the loop.
+# At m = 30, r = 60, a 1024-column call took 0.026-0.031 ms per column with
+# stacks of 64, 0.022-0.026 with 128, 0.020-0.026 with 256, 0.020-0.027 with
+# 512 and 0.020-0.035 with 2048, and a 150-column call was fastest at 256
+# (CPU time, best of 5 runs of 9 calls, 6 datasets, 2-vCPU x86 host,
+# single-threaded OpenBLAS): a stack runs until its slowest column stops.
 STACK = 256
 # (spec, beta, D.shape), a read-only copy of D and its code system; stored
 # after the loop, so the copy does not add to the loop's peak memory
@@ -76,12 +77,11 @@ def complete_new(D: np.ndarray, samples, spec: KernelSpec, beta: float,
     iteration changes its missing entries by less than tol relative to their
     norm.  Anderson mixing of full Newton steps takes a column of the
     benchmark's cases (m = 30, r = 60, 30% missing) to tol = 1e-3 in about
-    6.7 of the 30 iterations.  A block iterates until its slowest column
-    stops, then leaves the loop.  ``return_info`` adds one
-    :class:`SampleInfo` per sample.  A bad beta or n_iter, index or observed
-    value raises ValueError; indices must be distinct integers.  A
-    :class:`NumericalError` names a failing sample in ``sample_index``; an
-    indefinite K_DD + beta I raises one up front.
+    6.7 of the 30 iterations.  A stack iterates until its slowest column
+    stops.  ``return_info`` adds one :class:`SampleInfo` per sample.  A bad
+    beta or n_iter, index or observed value raises ValueError; indices must
+    be distinct integers.  A :class:`NumericalError` names a failing sample
+    in ``sample_index``; an indefinite K_DD + beta I raises one up front.
     """
     global _frozen
     D = np.asarray(D, dtype=float)
@@ -124,5 +124,5 @@ def complete_new(D: np.ndarray, samples, spec: KernelSpec, beta: float,
     if return_info:
         # one SampleInfo per sample, none for the padding columns
         fields = (np.concatenate(a)[:n].tolist() for a in zip(*stats))
-        return out, list(map(SampleInfo, *fields))
+        return out, [SampleInfo(*f) for f in zip(*fields)]
     return out

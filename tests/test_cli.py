@@ -638,6 +638,65 @@ def test_malformed_checkpoint_exits_2_naming_file(
     assert not (tmp_path / "o" / "completed.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["ose", "stream-resume",
+                                     "stream-passes-0"])
+def test_non_finite_checkpoint_exits_2_naming_file(
+        union_dir, trained_model, tmp_path, capsys, command):
+    # the real header, with a NaN and an inf in the dictionary
+    line, payload = trained_model.read_bytes().split(b"\n", 1)
+    D = np.frombuffer(payload, dtype="<f8").copy()
+    D[[0, 7]] = [np.nan, np.inf]
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(line + b"\n" + D.tobytes())
+    data = ("--mask", union_dir / "mask.csv", "--n-iter", 3,
+            "--out", tmp_path / "o")
+    if command == "ose":
+        argv = ("ose", "--model", ckpt, "--input", union_dir / "data.csv")
+    else:
+        argv = _stream_from_checkpoint(command, ckpt, union_dir / "data.csv")
+    assert run(*argv, *data) == 2
+    err = capsys.readouterr().err
+    assert f"{ckpt}: dictionary has non-finite values" in err
+    assert not (tmp_path / "o" / "completed.csv").exists()
+    assert not (tmp_path / "o" / "trace.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def poly_model(union_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("poly")
+    run("stream", "--data", union_dir / "data.csv",
+        "--mask", union_dir / "mask.csv", "--kernel", "poly", "--passes", 1,
+        "--r", 10, "--n-iter", 3, "--seed", 0, "--out", out)
+    return out / "model.ckpt"
+
+
+@pytest.mark.parametrize("kernel,flags,message", [
+    ("rbf", ("--r", 11), "--r 11 does not match the checkpoint's r 10"),
+    ("rbf", ("--sigma", 99), "--sigma 99.0 does not match the checkpoint, "
+                             "whose kernel has sigma "),
+    ("poly", ("--r", 9), "--r 9 does not match the checkpoint's r 10"),
+    ("poly", ("--sigma", 1), "whose kernel has no sigma (poly)"),
+], ids=["rbf-r", "rbf-sigma", "poly-r", "poly-sigma"])
+def test_stream_resume_rejects_contradicting_r_or_sigma(
+        union_dir, trained_model, poly_model, tmp_path, capsys, kernel,
+        flags, message):
+    ckpt = trained_model if kernel == "rbf" else poly_model
+    assert run("stream", "--data", union_dir / "data.csv", "--resume", ckpt,
+               *flags, "--n-iter", 3, "--out", tmp_path / "o") == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o" / "completed.csv").exists()
+
+
+def test_stream_resume_accepts_the_checkpoints_r_and_sigma(
+        union_dir, trained_model, tmp_path):
+    _, spec, _ = load_checkpoint(trained_model)
+    assert run("stream", "--data", union_dir / "data.csv",
+               "--resume", trained_model, "--r", 10, "--sigma", spec.sigma,
+               "--n-iter", 3, "--out", tmp_path / "o") == 0
+    _, resumed, _ = load_checkpoint(tmp_path / "o" / "model.ckpt")
+    assert resumed == spec
+
+
 def test_resumed_stream_carries_samples_seen(union_dir, tmp_path):
     files = ("--data", union_dir / "data.csv", "--mask", union_dir / "mask.csv")
     data = (*files, "--passes", 2, "--r", 10, "--n-iter", 3, "--seed", 0)

@@ -104,6 +104,16 @@ def test_complete_new_fully_observed_passthrough(rng):
     assert np.array_equal(out[:, 0], x)
 
 
+def test_complete_new_of_no_samples_returns_no_columns(rng):
+    D = rng.standard_normal((5, 3))
+    spec = KernelSpec.rbf(1.0)
+    out = complete_new(D, [], spec, beta=0.1)
+    assert out.shape == (5, 0)
+    out, infos = complete_new(D, [], spec, beta=0.1, return_info=True)
+    assert out.shape == (5, 0)
+    assert infos == []
+
+
 def test_complete_new_order_independent(rng):
     D = rng.standard_normal((6, 4))
     spec = KernelSpec.rbf(1.5)
