@@ -32,13 +32,18 @@ def lrf_complete(mm: MaskedMatrix, rank: int, ridge: float = 1e-4,
                  return_trace: bool = False):
     """Low-rank factorization completion by alternating ridge least squares.
 
-    Fits U V' to the observed entries, sweeping rows of U then rows of V;
-    rows or columns with no observations fall back to zero.  The completion
-    is U V' with the observed entries overwritten by the data.
+    Fits U V' to the observed entries, sweeping rows of U then rows of V
+    ``iters`` >= 1 times; rows or columns with no observations fall back to
+    zero.  The completion is U V' with the observed entries overwritten by
+    the data.  ``ridge`` must be >= 0.
     """
     m, n = mm.shape
     if not 1 <= rank <= min(m, n):
         raise ValueError(f"rank must lie in [1, {min(m, n)}]")
+    if iters < 1:
+        raise ValueError(f"iters must be >= 1, got {iters}")
+    if not ridge >= 0:
+        raise ValueError(f"ridge must be >= 0, got {ridge}")
     obs = mm.mask.observed
     values = np.where(obs, mm.values, 0.0)
     rng = np.random.default_rng(seed)
@@ -71,10 +76,12 @@ def ose_lrf(U: np.ndarray, x: np.ndarray, observed_idx: np.ndarray,
     """Complete one column against an orthonormal basis U.
 
     Missing entries are U_miss (U_obs' U_obs + ridge I)^{-1} U_obs' x_obs;
-    observed entries are returned untouched.  With ``ridge == 0`` and fewer
-    observed entries than the rank of U that system is singular, and a
-    ValueError is raised before solving.
+    observed entries are returned untouched.  ``ridge`` must be >= 0; with
+    ``ridge == 0`` and fewer observed entries than the rank of U that system
+    is singular, and a ValueError is raised before solving.
     """
+    if not ridge >= 0:
+        raise ValueError(f"ridge must be >= 0, got {ridge}")
     U = np.asarray(U, dtype=float)
     x = np.asarray(x, dtype=float)
     observed_idx = np.asarray(observed_idx, dtype=int)

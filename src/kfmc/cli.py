@@ -2,9 +2,9 @@
 
 Exit codes: 0 on success, 2 for usage or input errors, 3 for numerical
 failures or a diverged complete (complete and stream still write the
-partial trace.csv).  Every command takes a --seed and is reproducible given
-it.  The KFMC_THREADS environment variable caps BLAS parallelism when set
-before the process imports numpy.
+partial trace.csv).  Every command but bounds takes a --seed and is
+reproducible given it.  The KFMC_THREADS environment variable caps BLAS
+parallelism when set before the process imports numpy.
 """
 from __future__ import annotations
 
@@ -144,48 +144,58 @@ def _mean_distance(data, mask: Mask, seed, if_zero: str) -> float:
     return dbar
 
 
-def _kernel_from_args(args, kind, data, mask) -> KernelSpec:
-    if kind == "poly":
-        return KernelSpec.poly(degree=args.degree, offset=args.offset)
-    if args.sigma is not None:
-        return KernelSpec.rbf(sigma=args.sigma)
-    dbar = _mean_distance(data, mask, args.seed, "the RBF bandwidth "
-                          "heuristic gives sigma = 0; set --sigma")
-    return KernelSpec.rbf(sigma=args.sigma_mult * dbar)
+def _model_settings(args, data, mask, kind, path=None):
+    """Kernel, r, beta, dictionary and samples seen of a run.
 
-
-def _default_r(spec, m) -> int:
-    return 2 * m if spec.is_rbf else m
-
-
-def _beta(args, spec, metadata=None, path=None) -> float:
-    """--beta, else the beta of checkpoint ``path``, else the kernel's default.
-    A negative code ridge is refused: K_DD + beta I need not be definite."""
+    With a checkpoint ``path`` each is the checkpoint's, and a --kernel,
+    --degree, --offset, --sigma or --r set to another value is refused;
+    without one, the kernel is ``kind`` with the flags' parameters (sigma:
+    the mean column distance) and r is --r, else 2 m (rbf) or m (poly).
+    beta is --beta, else the checkpoint's, else the kernel's default; a
+    negative one is refused, since K_DD + beta I need not be definite.  The
+    format round-trips any bits, so a non-finite dictionary is refused."""
+    flags = {flag: getattr(args, flag, None)
+             for flag in ("kernel", "degree", "offset", "sigma", "r")}
+    D, seen, metadata = None, 0, {}
+    if path is not None:
+        D, spec, header = load_checkpoint(path)
+        if not np.all(np.isfinite(D)):
+            raise ValueError(f"{path}: dictionary has non-finite values")
+        metadata = header.get("metadata", {})
+        seen = metadata.get("samples_seen", 0)
+        if type(seen) is not int or seen < 0:
+            raise ValueError(f"{path}: metadata samples_seen must be an "
+                             f"integer >= 0, got {seen!r}")
+        r = D.shape[1]
+        stored = {"kernel": spec.kind, **kernel_to_dict(spec), "r": r}
+        for flag, value in flags.items():
+            if value is not None and value != stored.get(flag):
+                whose = (f"'s r {r}" if flag == "r" else ", whose kernel " + (
+                    f"is {spec.kind}" if flag == "kernel" else
+                    f"has {flag} {stored[flag]}" if flag in stored else
+                    f"has no {flag} ({spec.kind})"))
+                raise ValueError(f"--{flag} {value} does not match the "
+                                 f"checkpoint{whose}")
+    else:
+        if kind == "poly":
+            spec = KernelSpec.poly(**{k: flags[k] for k in ("degree", "offset")
+                                      if flags[k] is not None})
+        elif args.sigma is not None:
+            spec = KernelSpec.rbf(sigma=args.sigma)
+        else:
+            spec = KernelSpec.rbf(sigma=_mean_distance(
+                data, mask, args.seed,
+                "the RBF bandwidth heuristic gives sigma = 0; set --sigma"))
+        m = data.shape[0]
+        r = args.r if args.r is not None else 2 * m if spec.is_rbf else m
     if args.beta is not None:
         beta, source = args.beta, "--beta"
     else:
-        beta = (metadata or {}).get("beta", 1e-4 if spec.is_rbf else 0.1)
+        beta = metadata.get("beta", 1e-4 if spec.is_rbf else 0.1)
         source = f"the beta of {path} (set --beta to override it)"
     if type(beta) not in (int, float) or not beta >= 0:
         raise ValueError(f"{source} must be a number >= 0, got {beta!r}")
-    return beta
-
-
-def _load_model(args, path, m):
-    """Dictionary, kernel, beta and samples seen of a checkpoint for m rows.
-    A checkpoint without ``samples_seen`` has seen 0 samples.  The format
-    round-trips any bits, so a non-finite dictionary is refused here."""
-    D, spec, header = load_checkpoint(path)
-    if not np.all(np.isfinite(D)):
-        raise ValueError(f"{path}: dictionary has non-finite values")
-    if D.shape[0] != m:
-        raise ValueError(f"checkpoint rows {D.shape[0]} != data rows {m}")
-    metadata = header.get("metadata", {})
-    seen = metadata.get("samples_seen", 0)
-    if type(seen) is not int or seen < 0:
-        raise ValueError(f"{path}: metadata samples_seen must be an integer "
-                         f">= 0, got {seen!r}")
-    return D, spec, _beta(args, spec, metadata, path), seen
+    return spec, r, beta, D, seen
 
 
 def _inner_loop_report(iterations: int, hit_limit: int, samples: int) -> dict:
@@ -249,10 +259,9 @@ def cmd_complete(args) -> int:
                                "r": e.hp.r, "alpha": e.hp.alpha, "beta": e.hp.beta,
                                "relative_error": e.relative_error} for e in entries]}
         else:
-            spec = _kernel_from_args(args, args.method.removeprefix("kfmc-"),
-                                     data, mask)
-            r = args.r if args.r is not None else _default_r(spec, m)
-            hp = OfflineHyperparams(r=r, alpha=args.alpha, beta=_beta(args, spec),
+            spec, r, beta, _, _ = _model_settings(
+                args, data, mask, args.method.removeprefix("kfmc-"))
+            hp = OfflineHyperparams(r=r, alpha=args.alpha, beta=beta,
                                     tau=args.tau, eta=args.eta, t_max=args.t_max,
                                     tol=args.tol, seed=args.seed)
             try:
@@ -284,30 +293,11 @@ def cmd_complete(args) -> int:
 def cmd_stream(args) -> int:
     out = ensure_dir(args.out)
     data, mask, truth = _read_problem(args, args.data)
-    m, n = data.shape
+    n = data.shape[1]
     samples = _samples(data, mask)
     start = time.perf_counter()
-    model = None
-    if args.resume:
-        D0, spec, beta, seen = _load_model(args, args.resume, m)
-        if args.kernel and spec.kind != args.kernel:
-            raise ValueError(f"checkpoint kernel {spec.kind!r} does not match "
-                             f"--kernel {args.kernel!r}")
-        r = D0.shape[1]
-        if args.r is not None and args.r != r:
-            raise ValueError(f"--r {args.r} does not match the checkpoint's "
-                             f"r {r}")
-        if args.sigma is not None and (spec.is_poly or args.sigma != spec.sigma):
-            stored = "no sigma (poly)" if spec.is_poly else f"sigma {spec.sigma}"
-            raise ValueError(f"--sigma {args.sigma} does not match the "
-                             f"checkpoint, whose kernel has {stored}")
-        # the count carries over; the inner-loop totals are this run's
-        model = OnlineModel(D0)
-        model.samples_seen = seen
-    else:
-        spec = _kernel_from_args(args, args.kernel or "rbf", data, mask)
-        beta = _beta(args, spec)
-        r = args.r if args.r is not None else _default_r(spec, m)
+    spec, r, beta, D0, seen = _model_settings(
+        args, data, mask, args.kernel or "rbf", args.resume)
     # after the checkpoint is read, so that a bad one is named first
     if args.passes < 1:
         raise ValueError("--passes must be >= 1; to complete columns against "
@@ -315,6 +305,8 @@ def cmd_stream(args) -> int:
     hp = OnlineHyperparams(r=r, alpha=args.alpha, beta=beta, tau=args.tau,
                            eta=args.eta, n_iter=args.n_iter,
                            n_pass=args.passes, tol=args.tol, seed=args.seed)
+    # the count carries over; the inner-loop totals are this run's
+    model = None if D0 is None else OnlineModel(D0, samples_seen=seen)
     try:
         X_hat, model = run_stream(samples, spec, hp, ground_truth=truth,
                                   model=model)
@@ -355,6 +347,9 @@ def cmd_ose(args) -> int:
         train = read_matrix_csv(args.train)
         if not np.all(np.isfinite(train)):
             raise ValueError("--train matrix must be fully observed")
+        if train.shape[0] != m:
+            raise ValueError(f"--train has {train.shape[0]} rows, but the "
+                             f"input has {m}")
         U = svd_basis(train, args.rank)
         for j, (_, idx) in enumerate(samples):
             if args.ridge == 0 and idx.size < args.rank:
@@ -370,13 +365,14 @@ def cmd_ose(args) -> int:
     else:
         if not args.model:
             raise ValueError("either --model or --baseline ose-lrf is required")
-        D, spec, beta, _ = _load_model(args, args.model, m)
+        spec, r, beta, D, _ = _model_settings(args, data, mask, None,
+                                              args.model)
         X_hat, infos = complete_new(D, samples, spec, beta, n_iter=args.n_iter,
                                     tol=args.tol, return_info=True)
         payload = {"method": f"ose-kfmc-{spec.kind}",
                    "kernel": kernel_to_dict(spec),
                    "hyperparameters": {"beta": beta, "n_iter": args.n_iter,
-                                       "tol": args.tol, "r": int(D.shape[1])},
+                                       "tol": args.tol, "r": r},
                    "iterations": n,
                    **_inner_loop_report(sum(i.iterations for i in infos),
                                         sum(i.hit_iter_limit for i in infos),
@@ -428,10 +424,10 @@ def _add_fit_flags(p):
                         "default %(default)s")
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--alpha", type=float, default=OnlineHyperparams.alpha)
-    p.add_argument("--degree", type=int, default=2)
-    p.add_argument("--offset", type=float, default=1.0)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--sigma-mult", type=float, default=1.0)
+    p.add_argument("--degree", type=int, default=None, help="poly; default 2")
+    p.add_argument("--offset", type=float, default=None, help="poly; default 1")
+    p.add_argument("--sigma", type=float, default=None,
+                   help="rbf; default: the mean column distance")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -475,7 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default: the checkpoint's kernel with --resume, else rbf")
     s.add_argument("--passes", type=int, default=1)
     s.add_argument("--n-iter", type=int, default=OnlineHyperparams.n_iter)
-    s.add_argument("--resume", help="checkpoint to continue from")
+    s.add_argument("--resume", help="checkpoint to continue from; its "
+                   "kernel and r hold, and a kernel flag or --r must agree")
     s.set_defaults(func=cmd_stream)
 
     o = sub.add_parser("ose", help="complete new columns against a frozen model")

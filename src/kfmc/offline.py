@@ -41,11 +41,11 @@ EPS_DIAG = 1e-12
 
 
 def _check_settings(*, tau: float = 2.0, eta: float = 0.0, r: int = 1,
-                    alpha: float = 0.0, beta: float = 0.0,
-                    n_iter: int = 1) -> None:
-    """Raise ValueError unless r >= 1, tau > 1, alpha, beta >= 0, eta lies
-    in [0, 1) and n_iter >= 1: the settings every solver shares.  A setting
-    a solver does not have keeps its valid default."""
+                    alpha: float = 0.0, beta: float = 0.0, n_iter: int = 1,
+                    tol: float = 0.0) -> None:
+    """Raise ValueError unless r >= 1, tau > 1, alpha, beta, tol >= 0, eta
+    lies in [0, 1) and n_iter >= 1: the settings every solver shares.  A
+    setting a solver does not have keeps its valid default."""
     if not r >= 1:
         raise ValueError("dictionary size r must be >= 1")
     if not tau > 1:
@@ -56,6 +56,8 @@ def _check_settings(*, tau: float = 2.0, eta: float = 0.0, r: int = 1,
         raise ValueError("eta must lie in [0, 1)")
     if not n_iter >= 1:
         raise ValueError("n_iter must be >= 1")
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
 
 
 @dataclass
@@ -82,7 +84,7 @@ class OfflineHyperparams:
 
     def __post_init__(self):
         _check_settings(r=self.r, alpha=self.alpha, beta=self.beta,
-                        tau=self.tau, eta=self.eta)
+                        tau=self.tau, eta=self.eta, tol=self.tol)
         if self.t_max < 1:
             raise ValueError("t_max must be >= 1")
 

@@ -76,7 +76,8 @@ class OnlineHyperparams:
 
     def __post_init__(self):
         _check_settings(r=self.r, alpha=self.alpha, beta=self.beta,
-                        tau=self.tau, eta=self.eta, n_iter=self.n_iter)
+                        tau=self.tau, eta=self.eta, n_iter=self.n_iter,
+                        tol=self.tol)
         if self.n_pass < 1:
             raise ValueError("n_pass must be >= 1")
 
@@ -89,10 +90,10 @@ class OnlineModel:
     ``samples_seen`` is stored, and a resumed model counts on from it.
     """
 
-    def __init__(self, dictionary: np.ndarray):
+    def __init__(self, dictionary: np.ndarray, samples_seen: int = 0):
         self.dictionary = np.asarray(dictionary, dtype=float).copy()
         self.dict_momentum = np.zeros_like(self.dictionary)
-        self.samples_seen = 0
+        self.samples_seen = samples_seen
         self.inner_iterations = 0
         self.samples_hit_iter_limit = 0
         self.cost_trace: list[float] = []

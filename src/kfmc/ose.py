@@ -79,13 +79,13 @@ def complete_new(D: np.ndarray, samples, spec: KernelSpec, beta: float,
     benchmark's cases (m = 30, r = 60, 30% missing) to tol = 1e-3 in about
     6.7 of the 30 iterations.  A stack iterates until its slowest column
     stops.  ``return_info`` adds one :class:`SampleInfo` per sample.  A bad
-    beta or n_iter, index or observed value raises ValueError; indices must
-    be distinct integers.  A :class:`NumericalError` names a failing sample
+    beta, n_iter or tol, index or observed value raises ValueError; indices
+    must be distinct integers.  A :class:`NumericalError` names a failing sample
     in ``sample_index``; an indefinite K_DD + beta I raises one up front.
     """
     global _frozen
     D = np.asarray(D, dtype=float)
-    _check_settings(beta=beta, n_iter=n_iter)
+    _check_settings(beta=beta, n_iter=n_iter, tol=tol)
     key, entry = (spec, float(beta), D.shape), _frozen
     if entry is not None and entry[0] == key and np.array_equal(
             entry[1].view(np.uint64), D.view(np.uint64)):

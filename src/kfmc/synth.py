@@ -128,37 +128,28 @@ def random_mask(m: int, n: int, missing_rate: float, seed: int = 0,
 
 def continuous_mask(m: int, n: int, missing_rate: float, n_seq: int,
                     seed: int = 0) -> Mask:
-    """Mask with n_seq non-overlapping missing runs per row.
+    """Mask with n_seq missing runs per row, with a gap between runs.
 
-    Each run has length round(missing_rate * n / n_seq); run starts are drawn
-    uniformly and re-drawn on collision, so the per-row missing total is
-    within n_seq of missing_rate * n.
+    Each run has length L = round(missing_rate * n / n_seq), so the per-row
+    missing total is within n_seq of missing_rate * n.  Each row draws
+    n_seq distinct slots from range(n - n_seq L + 1) and starts its i-th
+    run at the i-th smallest slot plus i L: a uniform draw among all
+    placements that keep at least one observed entry between two runs,
+    which exist when n_seq L + n_seq - 1 <= n.
     """
     if n_seq < 1:
         raise ValueError("n_seq must be >= 1")
     if not 0 <= missing_rate < 1:
         raise ValueError("missing_rate must lie in [0, 1)")
     run_len = round(missing_rate * n / n_seq)
-    if run_len * n_seq > n:
-        raise ValueError("requested missing runs exceed the row length")
+    room = n - n_seq * run_len + 1
+    if room < n_seq:
+        raise ValueError(f"{n_seq} runs of length {run_len} with gaps "
+                         f"between them do not fit in a row of {n}")
     rng = np.random.default_rng(seed)
     observed = np.ones((m, n), dtype=bool)
-    if run_len == 0:
-        return Mask(observed)
-    for i in range(m):
-        for attempt in range(1000):
-            row = np.ones(n, dtype=bool)
-            placed = 0
-            draws = 0
-            while placed < n_seq and draws < 200 * n_seq:
-                draws += 1
-                start = rng.integers(0, n - run_len + 1)
-                if row[start:start + run_len].all():
-                    row[start:start + run_len] = False
-                    placed += 1
-            if placed == n_seq:
-                observed[i] = row
-                break
-        else:
-            raise ValueError("could not place non-overlapping missing runs")
+    for row in observed:
+        slots = np.sort(rng.choice(room, n_seq, replace=False))
+        for start in slots + run_len * np.arange(n_seq):
+            row[start:start + run_len] = False
     return Mask(observed)

@@ -61,6 +61,22 @@ def test_lrf_rank_validation(rng):
         lrf_complete(mm, 5)
 
 
+@pytest.mark.parametrize("settings", [{"iters": 0}, {"ridge": -1.0},
+                                      {"ridge": np.nan}],
+                         ids=["iters-0", "ridge-negative", "ridge-nan"])
+def test_lrf_rejects_bad_settings(rng, settings):
+    # with no sweep the completion would be the random starting point
+    mm = impute_init(rng.standard_normal((4, 6)), Mask.full(4, 6))
+    with pytest.raises(ValueError, match=f"{next(iter(settings))} must be"):
+        lrf_complete(mm, 2, **settings)
+
+
+def test_ose_lrf_rejects_a_negative_ridge(rng):
+    U = svd_basis(rng.standard_normal((4, 6)), 2)
+    with pytest.raises(ValueError, match="ridge must be >= 0"):
+        ose_lrf(U, rng.standard_normal(4), np.arange(4), ridge=-1e-3)
+
+
 def test_ose_lrf_hand_value():
     U = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
     x = np.array([np.nan, 3.0])

@@ -255,6 +255,18 @@ def test_ose_shape_mismatch_exit_2(union_dir, tmp_path, rng):
                "--out", tmp_path / "x") == 2
 
 
+def test_stream_resume_rows_mismatch_exit_2(trained_model, tmp_path, rng,
+                                            capsys):
+    # the 30-row checkpoint cannot continue on 7-row columns
+    bad = tmp_path / "bad.csv"
+    write_matrix_csv(bad, rng.standard_normal((7, 5)))
+    out = tmp_path / "x"
+    assert run("stream", "--data", bad, "--resume", trained_model,
+               "--out", out) == 2
+    assert "does not match dictionary rows 30" in capsys.readouterr().err
+    assert not (out / "completed.csv").exists()
+
+
 def test_ose_lrf_baseline(union_dir, tmp_path):
     # baseline path needs a complete training matrix: use the ground truth
     out = tmp_path / "oselrf"
@@ -345,7 +357,9 @@ def test_diverged_complete_exits_3_with_partial_trace(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", [("--sigma", "1e300"), ("--sigma", "inf"),
                                    ("--sigma", "nan"),
-                                   ("--method", "kfmc-poly", "--offset", "inf")])
+                                   ("--method", "kfmc-poly", "--offset", "inf"),
+                                   ("--sigma", "0"),
+                                   ("--method", "kfmc-poly", "--degree", "0")])
 def test_bad_kernel_parameters_exit_2(union_dir, tmp_path, flags):
     assert run("complete", "--data", union_dir / "data.csv",
                "--mask", union_dir / "mask.csv", *flags, "--t-max", 3,
@@ -676,7 +690,16 @@ def poly_model(union_dir, tmp_path_factory):
                              "whose kernel has sigma "),
     ("poly", ("--r", 9), "--r 9 does not match the checkpoint's r 10"),
     ("poly", ("--sigma", 1), "whose kernel has no sigma (poly)"),
-], ids=["rbf-r", "rbf-sigma", "poly-r", "poly-sigma"])
+    ("poly", ("--degree", 5, "--offset", 7),
+     "--degree 5 does not match the checkpoint, whose kernel has degree 2"),
+    ("poly", ("--offset", 7),
+     "--offset 7.0 does not match the checkpoint, whose kernel has offset 1.0"),
+    ("poly", ("--kernel", "rbf"),
+     "--kernel rbf does not match the checkpoint, whose kernel is poly"),
+    ("rbf", ("--degree", 2), "whose kernel has no degree (rbf)"),
+    ("rbf", ("--offset", 1), "whose kernel has no offset (rbf)"),
+], ids=["rbf-r", "rbf-sigma", "poly-r", "poly-sigma", "poly-degree-offset",
+        "poly-offset", "poly-kernel", "rbf-degree", "rbf-offset"])
 def test_stream_resume_rejects_contradicting_r_or_sigma(
         union_dir, trained_model, poly_model, tmp_path, capsys, kernel,
         flags, message):
@@ -695,6 +718,27 @@ def test_stream_resume_accepts_the_checkpoints_r_and_sigma(
                "--n-iter", 3, "--out", tmp_path / "o") == 0
     _, resumed, _ = load_checkpoint(tmp_path / "o" / "model.ckpt")
     assert resumed == spec
+
+
+def test_stream_resume_accepts_the_poly_checkpoints_settings(
+        union_dir, poly_model, tmp_path):
+    # the poly checkpoint's own kernel, degree, offset and r pass
+    assert run("stream", "--data", union_dir / "data.csv",
+               "--resume", poly_model, "--kernel", "poly", "--degree", 2,
+               "--offset", 1, "--r", 10, "--n-iter", 3,
+               "--out", tmp_path / "o") == 0
+    _, resumed, _ = load_checkpoint(tmp_path / "o" / "model.ckpt")
+    assert resumed == load_checkpoint(poly_model)[1]
+
+
+def test_zero_offset_is_taken_not_defaulted(union_dir, tmp_path):
+    # --offset 0 is a valid setting, not a missing one
+    assert run("complete", "--data", union_dir / "data.csv",
+               "--mask", union_dir / "mask.csv", "--method", "kfmc-poly",
+               "--degree", 3, "--offset", 0, "--r", 10, "--t-max", 3,
+               "--out", tmp_path / "o") == 0
+    assert load_report(tmp_path / "o")["kernel"] == \
+        {"kind": "poly", "degree": 3, "offset": 0.0}
 
 
 def test_resumed_stream_carries_samples_seen(union_dir, tmp_path):
@@ -858,3 +902,47 @@ def test_mask_shape_mismatch_exit_2(union_dir, tmp_path, capsys):
                    tmp_path / "mask.csv", "--out", tmp_path / command) == 2
         assert "mask shape does not match data shape" in \
             capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["complete", "stream", "ose"])
+@pytest.mark.parametrize("tol", ["-1e-3", "nan"])
+def test_bad_tol_exits_2(union_dir, trained_model, tmp_path, capsys, command,
+                         tol):
+    # a negative tol acted as its absolute value, a NaN one never stopped
+    source = ("--input", union_dir / "data.csv", "--model", trained_model) \
+        if command == "ose" else ("--data", union_dir / "data.csv", "--r", 10)
+    out = tmp_path / "o"
+    assert run(command, *source, "--mask", union_dir / "mask.csv",
+               f"--tol={tol}", "--out", out) == 2
+    assert "tol must be >= 0" in capsys.readouterr().err
+    assert not (out / "completed.csv").exists()
+
+
+def test_ose_lrf_train_rows_must_match_input(union_dir, tmp_path, capsys):
+    train = tmp_path / "train.csv"
+    write_matrix_csv(train, read_matrix_csv(union_dir / "data.csv")[:20])
+    out = tmp_path / "o"
+    assert run("ose", "--baseline", "ose-lrf", "--train", train, "--rank", 3,
+               "--input", union_dir / "data.csv",
+               "--mask", union_dir / "mask.csv", "--out", out) == 2
+    assert "--train has 20 rows, but the input has 30" in \
+        capsys.readouterr().err
+    assert not (out / "completed.csv").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("complete", "--method", "lrf", "--iters", 0), "iters must be >= 1"),
+    (("complete", "--method", "lrf", "--ridge", -1), "ridge must be >= 0"),
+    (("ose", "--baseline", "ose-lrf", "--rank", 3, "--ridge", -1),
+     "ridge must be >= 0"),
+], ids=["lrf-iters-0", "lrf-ridge", "ose-lrf-ridge"])
+def test_low_rank_baselines_reject_bad_settings(union_dir, tmp_path, capsys,
+                                                argv, message):
+    data = union_dir / "data.csv"
+    source = ("--input", data, "--train", data) if argv[0] == "ose" else \
+        ("--data", data)
+    out = tmp_path / "o"
+    assert run(*argv, *source, "--mask", union_dir / "mask.csv",
+               "--out", out) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "completed.csv").exists()

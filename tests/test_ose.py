@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from kfmc import (KernelSpec, Mask, OfflineHyperparams, SyntheticSpec,
-                  complete_new, generate, impute_init, fit,
+from kfmc import (KernelSpec, Mask, OfflineHyperparams, OnlineHyperparams,
+                  SyntheticSpec, complete_new, generate, impute_init, fit,
                   mean_pairwise_distance, random_mask, relative_error,
                   train_dictionary)
 from kfmc.offline import dictionary_step, objective, solve_codes
@@ -138,3 +138,20 @@ def test_complete_new_rejects_a_bad_beta(rng, beta):
     x[3:] = np.nan
     with pytest.raises(ValueError, match="beta must be >= 0"):
         complete_new(D, [(x, np.arange(3))], KernelSpec.rbf(2.0), beta=beta)
+
+
+@pytest.mark.parametrize("tol", [-1e-3, np.nan], ids=["negative", "nan"])
+def test_settings_reject_a_bad_tol(rng, tol):
+    # the inner loop compares squared changes against tol**2, so a negative
+    # tol would act as its absolute value and a NaN one would never stop
+    D = rng.standard_normal((5, 3))
+    x = rng.standard_normal(5)
+    x[3:] = np.nan
+    with pytest.raises(ValueError, match="tol must be >= 0"):
+        complete_new(D, [(x, np.arange(3))], KernelSpec.rbf(2.0), beta=0.1,
+                     tol=tol)
+    for cls in (OfflineHyperparams, OnlineHyperparams):
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            cls(r=2, tol=tol)
+    # tol = 0 is valid: every loop runs to its cap
+    assert OnlineHyperparams(r=2, tol=0.0).tol == 0.0

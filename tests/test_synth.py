@@ -159,6 +159,27 @@ def test_continuous_mask_validation():
         continuous_mask(3, 10, 0.7, n_seq=12, seed=0)
 
 
+@pytest.mark.parametrize("m,n,rate,n_seq", [(2, 220, 0.9, 20),
+                                            (3, 109, 0.95, 10),
+                                            (4, 59, 0.5, 10)])
+def test_continuous_mask_tight_rows_get_every_run_apart(m, n, rate, n_seq):
+    # L = 10, 10 and 3: n_seq L + n_seq - 1 = 219, 109 and 39 entries, so
+    # the first two leave at most one spare entry; every run keeps a gap
+    mask = continuous_mask(m, n, rate, n_seq=n_seq, seed=0)
+    run_len = round(rate * n / n_seq)
+    for row in mask.missing:
+        edges = np.diff(np.concatenate([[0], row.view(np.int8), [0]]))
+        starts, ends = np.nonzero(edges == 1)[0], np.nonzero(edges == -1)[0]
+        assert len(starts) == n_seq
+        assert np.all(ends - starts == run_len)
+
+
+def test_continuous_mask_refuses_runs_without_room_for_gaps():
+    # 10 runs of 10 fill 100 of 105 entries, but need 9 gaps between them
+    with pytest.raises(ValueError, match="do not fit in a row of 105"):
+        continuous_mask(1, 105, 0.95, n_seq=10, seed=0)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         SyntheticSpec(d=0)
