@@ -150,7 +150,8 @@ def _model_settings(args, data, mask, kind, path=None):
     With a checkpoint ``path`` each is the checkpoint's, and a --kernel,
     --degree, --offset, --sigma or --r set to another value is refused;
     without one, the kernel is ``kind`` with the flags' parameters (sigma:
-    the mean column distance) and r is --r, else 2 m (rbf) or m (poly).
+    the mean column distance), a flag of the other kernel is refused, and r
+    is --r, else 2 m (rbf) or m (poly).
     beta is --beta, else the checkpoint's, else the kernel's default; a
     negative one is refused, since K_DD + beta I need not be definite.  The
     format round-trips any bits, so a non-finite dictionary is refused."""
@@ -177,6 +178,10 @@ def _model_settings(args, data, mask, kind, path=None):
                 raise ValueError(f"--{flag} {value} does not match the "
                                  f"checkpoint{whose}")
     else:
+        for flag in ("sigma",) if kind == "poly" else ("degree", "offset"):
+            if flags[flag] is not None:
+                raise ValueError(f"--{flag} {flags[flag]} does not apply to "
+                                 f"the {kind} kernel")
         if kind == "poly":
             spec = KernelSpec.poly(**{k: flags[k] for k in ("degree", "offset")
                                       if flags[k] is not None})
@@ -243,7 +248,7 @@ def cmd_complete(args) -> int:
             "hyperparameters": {"rank": rank, "ridge": args.ridge,
                                 "iters": args.iters},
             "iterations": args.iters,
-            "converged": True,
+            "converged": None,  # lrf has no stopping rule
         }
     else:
         if args.grid:

@@ -134,21 +134,23 @@ def _complete_block(spec: KernelSpec, D: np.ndarray, system, X: np.ndarray,
     by Anderson acceleration.
 
     ``system`` comes from :func:`_code_system`.  ``X`` is completed in
-    place, so the caller passes an array of its own.  A column with nothing
-    missing never moves.  The plain iteration is g(x) = x - step(x) on a
-    column's missing entries x, the step of :func:`kfmc.offline._sample_step`
-    unrelaxed: the mixing needs no damping, and relaxing by tau = 2 took a
-    fourth more iterations.  Anderson mixing (Anderson, J. ACM 12, 1965;
-    Walker & Ni, SIAM J. Numer. Anal. 49, 2011) keeps the last
-    :data:`MEMORY` differences of a column's steps and of its g, fits the
-    step by the step differences in least squares, and moves to g minus the
-    same combination of the g differences.  A mixed iterate that raises its
-    column's objective is dropped for the plain step from the iterate before
-    it, and the column's history starts afresh.  A column stops when
-    one iteration changes its missing entries by less than ``tol`` relative
-    to their norm, or after ``n_iter`` iterations, and from then on keeps
-    its values and kernel.  With ``block``, X holds blocks of that width
-    side by side: every product runs once per block (see
+    place, so the caller passes an array of its own.  Its non-finite
+    entries, which must be missing ones, start at the dictionary's mean
+    column ``D.mean(axis=1)``; finite values at missing positions are warm
+    starts.  A column with nothing missing never moves.  The plain iteration
+    is g(x) = x - step(x) on a column's missing entries x, the step of
+    :func:`kfmc.offline._sample_step` unrelaxed: the mixing needs no
+    damping, and relaxing by tau = 2 took a fourth more iterations.  Anderson
+    mixing (Anderson, J. ACM 12, 1965; Walker & Ni, SIAM J. Numer. Anal. 49,
+    2011) keeps the last :data:`MEMORY` differences of a column's steps and
+    of its g, fits the step by the step differences in least squares, and
+    moves to g minus the same combination of the g differences.  A mixed
+    iterate that raises its column's objective is dropped for the plain step
+    from the iterate before it, and the column's history starts afresh.  A
+    column stops when one iteration changes its missing entries by less than
+    ``tol`` relative to their norm, or after ``n_iter`` iterations, and from
+    then on keeps its values and kernel.  With ``block``, X holds blocks of
+    that width side by side: every product runs once per block (see
     :func:`kfmc.kernels.block_product`), every sum runs down the rows of one
     column and each column solves its own system, so a block gets the bits
     it gets alone.  Returns the completed X, the codes and k(D, x) of each
@@ -159,6 +161,8 @@ def _complete_block(spec: KernelSpec, D: np.ndarray, system, X: np.ndarray,
     at the end finds every column that failed on the way.
     """
     K_DD, solve_op, sq_D = system
+    # only missing entries can be non-finite: they start at D's mean column
+    np.copyto(X, D.mean(axis=1)[:, None], where=~np.isfinite(X))
     tol2 = tol * tol
     n = X.shape[1]
     counts = np.count_nonzero(missing, axis=0)
@@ -251,18 +255,14 @@ def _complete_block(spec: KernelSpec, D: np.ndarray, system, X: np.ndarray,
     return X, Z, K, done, iterations, objective
 
 
-def _prepare_columns(samples, D: np.ndarray, prior: bool = True):
+def _prepare_columns(samples, D: np.ndarray):
     """Split (x, observed_idx) samples into working columns X0 (m, n) and
-    their missing-entry mask (m, n).
+    their missing-entry mask (m, n).  Values at missing positions pass as
+    they are, NaN or a finite warm start, to :func:`_complete_block`.
 
-    Missing entries that are NaN get an initial value: the mean of the
-    column's observed entries, summed in row order, or the dictionary's
-    row means (with ``prior``, else NaN) when nothing is observed or the
-    mean overflows.  Finite values at missing positions are kept as a warm
-    start.  The lengths and indices of all samples are checked at once,
-    and so is the finiteness of the observed values.  Indices must be
-    integers (an empty list passes), in [0, m), and distinct within a
-    sample.
+    The lengths and indices of all samples are checked at once, and so is
+    the finiteness of the observed values.  Indices must be integers (an
+    empty list passes), in [0, m), and distinct within a sample.
     """
     m = D.shape[0]
     xs, idxs = [], []
@@ -289,23 +289,9 @@ def _prepare_columns(samples, D: np.ndarray, prior: bool = True):
     if m * n - np.count_nonzero(missing) != every.size:
         j = np.flatnonzero(m - np.count_nonzero(missing, axis=0) != counts)[0]
         raise ValueError(f"observed indices of sample {j} repeat")
-    bad = ~np.isfinite(X0)
     # count_nonzero costs a fraction of .any() on short arrays
-    if np.count_nonzero(bad):
-        if np.count_nonzero(bad & ~missing):
-            raise ValueError("observed entries must be finite")
-        # every non-finite entry is missing: fill it with its column's
-        # mean, one reduction per distinct observed count
-        values = X0.T[~missing.T]  # column by column, in row order
-        fill = np.full(n, np.nan)
-        for c in set(counts.tolist()) - {0, m}:
-            cols = counts == c
-            fill[cols] = np.add.reduce(
-                values[cols.repeat(counts)].reshape(-1, c), axis=1) / c
-        np.copyto(X0, fill, where=bad)
-        bad = ~np.isfinite(X0)
-        if prior and np.count_nonzero(bad):
-            np.copyto(X0, D.mean(axis=1)[:, None], where=bad)
+    if np.count_nonzero(~(np.isfinite(X0) | missing)):
+        raise ValueError("observed entries must be finite")
     return X0, missing
 
 
@@ -343,10 +329,11 @@ def run_stream(samples, spec: KernelSpec, hp: OnlineHyperparams,
 
     The whole stream and ``ground_truth`` (shape (m, n), finite) are
     checked before the first update, so bad input raises ValueError with
-    ``model`` untouched.  A column with nothing observed is filled on its
-    first visit, from the dictionary of that time.  A NumericalError
-    carries ``model`` and names the failed column (the block's first when
-    the dictionary step failed).
+    ``model`` untouched.  A column's NaN missing entries start on its first
+    visit, at the mean column of the dictionary of that time; later visits
+    start from its latest completion.  A NumericalError carries ``model``
+    and names the failed column (the block's first when the dictionary step
+    failed).
 
     Returns the completed matrix in stream order and the model.
     """
@@ -356,7 +343,7 @@ def run_stream(samples, spec: KernelSpec, hp: OnlineHyperparams,
     if model is None:
         rng = np.random.default_rng(hp.seed)
         model = OnlineModel(rng.standard_normal((np.size(samples[0][0]), hp.r)))
-    work, missing = _prepare_columns(samples, model.dictionary, prior=False)
+    work, missing = _prepare_columns(samples, model.dictionary)
     if ground_truth is not None and np.shape(ground_truth) != work.shape:
         raise ValueError(f"ground_truth shape {np.shape(ground_truth)} does "
                          f"not match the stream's {work.shape}")
@@ -372,9 +359,6 @@ def run_stream(samples, spec: KernelSpec, hp: OnlineHyperparams,
             cols = slice(start, start + BATCH)
             D = model.dictionary
             X = np.ascontiguousarray(work[:, cols])
-            bad = ~np.isfinite(X)  # only before a column's first visit
-            if np.count_nonzero(bad):
-                np.copyto(X, D.mean(axis=1)[:, None], where=bad)
             try:
                 system = _code_system(spec, D, hp.beta)
                 X, Z, K, converged, iterations, objective = _complete_block(

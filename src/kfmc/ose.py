@@ -67,9 +67,10 @@ def complete_new(D: np.ndarray, samples, spec: KernelSpec, beta: float,
     reused while spec, beta and the bits of D stay the same, else rebuilt
     and stored once the call has finished (never if it raised).  A call
     reads the entry once and replaces it in one assignment, so threads can
-    share it.  The samples are prepared together.  They then run the
-    streaming solver's inner loop, minus any dictionary update, on
-    zero-padded blocks of :data:`BLOCK` columns side by side (per
+    share it.  The samples are prepared together.  A missing entry given
+    as NaN starts at D's mean column, a finite one is a warm start.  They
+    then run the streaming solver's inner loop, minus any dictionary
+    update, on zero-padded blocks of :data:`BLOCK` columns side by side (per
     :data:`STACK` columns).  Each product in the loop is one BLOCK-wide
     product per block, so results are bitwise independent of batch
     composition, size and order.  The defaults of n_iter and tol are those

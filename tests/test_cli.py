@@ -83,7 +83,11 @@ def test_complete_lrf_twisted_cubic(twisted_dir, tmp_path):
     assert run("complete", "--data", twisted_dir / "data.csv",
                "--mask", twisted_dir / "mask.csv", "--method", "lrf",
                "--rank", 3, "--iters", 200, "--seed", 0, "--out", out) == 0
-    assert load_report(out)["relative_error"] > 0.3
+    report = load_report(out)
+    assert report["relative_error"] > 0.3
+    # lrf has no stopping rule, so it claims no convergence
+    assert report["converged"] is None
+    assert report["iterations"] == 200
 
 
 def test_complete_missing_mask_file_is_usage_error(twisted_dir, tmp_path):
@@ -364,6 +368,28 @@ def test_bad_kernel_parameters_exit_2(union_dir, tmp_path, flags):
     assert run("complete", "--data", union_dir / "data.csv",
                "--mask", union_dir / "mask.csv", *flags, "--t-max", 3,
                "--out", tmp_path / "out") == 2
+
+
+@pytest.mark.parametrize("command,flags,message", [
+    (("complete", "--t-max", 3), ("--degree", 5, "--offset", 3),
+     "--degree 5 does not apply to the rbf kernel"),
+    (("complete", "--t-max", 3), ("--offset", 0),
+     "--offset 0.0 does not apply to the rbf kernel"),
+    (("complete", "--method", "kfmc-poly", "--t-max", 3), ("--sigma", 3),
+     "--sigma 3.0 does not apply to the poly kernel"),
+    (("stream", "--n-iter", 3), ("--degree", 2),
+     "--degree 2 does not apply to the rbf kernel"),
+    (("stream", "--kernel", "poly", "--n-iter", 3), ("--sigma", 3),
+     "--sigma 3.0 does not apply to the poly kernel"),
+], ids=["complete-rbf-degree", "complete-rbf-offset", "complete-poly-sigma",
+        "stream-rbf-degree", "stream-poly-sigma"])
+def test_flag_of_the_other_kernel_exits_2(union_dir, tmp_path, capsys,
+                                          command, flags, message):
+    assert run(*command, "--data", union_dir / "data.csv",
+               "--mask", union_dir / "mask.csv", *flags,
+               "--out", tmp_path / "o") == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o" / "completed.csv").exists()
 
 
 def test_collapsed_sigma_exits_3(union_dir, tmp_path):
@@ -753,11 +779,11 @@ def test_resumed_stream_carries_samples_seen(union_dir, tmp_path):
     assert header["metadata"]["samples_seen"] == 600
     report = load_report(tmp_path / "s2")
     assert report["iterations"] == 600
-    # the inner-loop keys describe this run's 200 visits: one meets tol on
-    # its second iteration, the others run to the cap of 3, and 22 of them
+    # the inner-loop keys describe this run's 200 visits: 10 meet tol on
+    # their second iteration, the others run to the cap of 3, and 38 of them
     # meet tol on that third iteration
-    assert report["mean_inner_iterations"] == 599 / 200
-    assert report["samples_hit_iter_limit"] == 177
+    assert report["mean_inner_iterations"] == 590 / 200
+    assert report["samples_hit_iter_limit"] == 152
 
 
 def test_resume_without_samples_seen_starts_at_zero(union_dir, trained_model,

@@ -79,6 +79,11 @@ def _random_sample_instance(seed, kind):
     return D, x, obs, spec
 
 
+def _start(xs, D):
+    """The inner loop's start: NaN entries take D's mean column."""
+    return np.where(np.isnan(xs), D.mean(axis=1), xs)
+
+
 @pytest.mark.parametrize("kind", ["poly", "rbf"])
 def test_inner_loop_monotone_without_momentum(kind):
     # replicate the inner loop, checking the per-sample objective after each
@@ -90,8 +95,8 @@ def test_inner_loop_monotone_without_momentum(kind):
         K_DD = kernel_matrix(spec, D, D)
         chol = cho_factor(K_DD + beta * np.eye(ra), lower=True)
         xs = np.where(np.isin(np.arange(m), obs), x, np.nan)
-        x0, miss = (a[:, 0] for a in online._prepare_columns([(xs, obs)], D))
-        cur = x0.copy()
+        miss = online._prepare_columns([(xs, obs)], D)[1][:, 0]
+        cur = _start(xs, D)
         objs = []
         for _ in range(15):
             k = kernel_matrix(spec, cur[:, None], D)[0]
@@ -122,7 +127,7 @@ def test_complete_new_does_not_increase_objective(kind):
         xs = np.where(np.isin(np.arange(6), obs), x, np.nan)
         _, (info,) = complete_new(D, [(xs, obs)], spec, beta, n_iter=25,
                                   tol=0.0, return_info=True)
-        x0 = online._prepare_columns([(xs, obs)], D)[0][:, 0]
+        x0 = _start(xs, D)
         k0 = kernel_matrix(spec, x0[:, None], D)[0]
         K_DD = kernel_matrix(spec, D, D)
         z0 = np.linalg.solve(K_DD + beta * np.eye(4), k0)
@@ -510,20 +515,38 @@ def test_last_block_of_an_odd_stream_has_one_column(monkeypatch):
     assert np.array_equal(out[mask.observed], X_true[mask.observed])
 
 
-def test_empty_column_inside_a_block_starts_from_its_first_visit(monkeypatch):
+def test_every_column_starts_from_its_first_visits_dictionary(monkeypatch):
     X_true, _, samples = _stream_instance(n=9)
     samples[4] = (np.full(30, np.nan), np.array([], dtype=int))
     monkeypatch.setattr(online, "BATCH", 3)
-    calls = _recording_blocks(monkeypatch)
+    calls = []
+    real = online._complete_block
+
+    def recorded(spec, D, system, X, missing, **kwargs):
+        start = X.copy()
+        # the same block started from its dictionary's mean column
+        warm = real(spec, D, system, np.where(missing, D.mean(axis=1)[:, None],
+                                              X), missing, **kwargs)[0]
+        out = real(spec, D, system, X, missing, **kwargs)
+        calls.append((D, start, missing, out[0].copy(), warm))
+        return out
+
+    monkeypatch.setattr(online, "_complete_block", recorded)
     hp = OnlineHyperparams(r=8, beta=1e-3, n_iter=10, n_pass=2, seed=0)
     out, model = run_stream(samples, KernelSpec.rbf(2.5), hp)
     D0 = np.random.default_rng(0).standard_normal((30, 8))
-    # the second block's dictionary has taken one step away from D0
-    D, X = calls[1]
-    assert not np.array_equal(D, D0)
-    assert np.array_equal(X[:, 1], D.mean(axis=1))
-    # its second visit starts from its first completion
-    assert not np.array_equal(calls[4][1][:, 1], calls[4][0].mean(axis=1))
+    # the later blocks' dictionaries have stepped away from D0
+    assert np.array_equal(calls[0][0], D0)
+    assert not np.array_equal(calls[1][0], D0)
+    assert len(calls) == 6
+    for (_, start, missing, first, warm), (_, again, _, _, _) in zip(
+            calls[:3], calls[3:]):
+        # every missing entry reaches the first visit as NaN and starts at
+        # the mean column of that visit's dictionary
+        assert np.array_equal(np.isnan(start), missing)
+        assert np.array_equal(first, warm)
+        # the second visit starts from the first completion
+        assert np.array_equal(again, first)
     assert np.all(np.isfinite(out))
 
 

@@ -147,7 +147,8 @@ def test_numerical_error_names_a_column_of_a_later_block_or_stack(bad):
     assert err.value.sample_index == bad
 
 
-def test_prepare_columns_fills_missing_entries_per_column():
+def test_prepare_columns_keeps_missing_entries_as_given():
+    # the inner loop starts the NaN entries; finite ones are warm starts
     D = _dictionary()
     rng = np.random.default_rng(7)
     part, full, empty = (_column(rng, k) for k in ("part", "full", "empty"))
@@ -158,10 +159,7 @@ def test_prepare_columns_fills_missing_entries_per_column():
     assert X0.shape == missing.shape == (M, 4)
     for j, (x, obs) in enumerate([part, full, empty, (warm_x, warm_obs)]):
         assert np.array_equal(missing[:, j], ~np.isin(np.arange(M), obs))
-        expected = x.copy()
-        nan = np.isnan(x)
-        expected[nan] = np.mean(x[obs]) if obs.size else D.mean(axis=1)[nan]
-        assert np.array_equal(X0[:, j], expected)
+        assert np.array_equal(X0[:, j], x, equal_nan=True)
     assert np.array_equal(X0[free[:2], 3], [0.25, -4.0])
 
 
@@ -170,7 +168,7 @@ def test_prepare_columns_fills_missing_entries_per_column():
                                    "index-repeated", "index-bool-mask",
                                    "index-float"])
 def test_prepare_columns_rejects_bad_samples(fault):
-    # a repeated index would weigh its entry twice in the fill; a boolean
+    # a repeated index would count its entry as observed twice; a boolean
     # mask would be read as the indices 0 and 1, and float indices truncated
     D = _dictionary()
     samples = _samples(5, seed=8)
@@ -214,4 +212,4 @@ def test_an_empty_index_list_means_nothing_observed():
     D = _dictionary()
     X0, missing = _prepare_columns([(np.full(M, np.nan), [])], D)
     assert missing.all()
-    assert np.array_equal(X0[:, 0], D.mean(axis=1))
+    assert np.isnan(X0).all()

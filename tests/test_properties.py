@@ -8,9 +8,10 @@ Stopping by ``tol`` only cuts the run short: a ``fit`` that stops by
 and so has each column of ``complete_new`` with a budget of exactly its
 inner iterations.  ``complete_new`` at any relaxation gives each column
 the same bits and :class:`SampleInfo` in any column order.
-A missing entry starts at the mean of its column's observed entries, taken
-in row order, so a column's output does not depend on the order of its
-indices.  A bulk call whose blocks stop at different iterations gives each
+A missing entry given as NaN starts at the dictionary's mean column, so it
+gives the bits of that column given as a warm start, in ``complete_new`` and
+in the first block of ``run_stream``, and a column's output does not depend
+on the order of its indices.  A bulk call whose blocks stop at different iterations gives each
 column the bits of a single request, in either column order.
 The kernel matrix of drawn points with themselves is exactly symmetric and
 positive semidefinite up to rounding.
@@ -23,9 +24,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from kfmc import (KernelSpec, Mask, OfflineHyperparams, OnlineHyperparams,
-                  complete_new, fit, impute_init, run_stream)
+                  OnlineModel, complete_new, fit, impute_init, run_stream)
 from kfmc.kernels import kernel_matrix
-from kfmc.online import _prepare_columns
+from kfmc.online import BATCH, _prepare_columns
 from kfmc.ose import BLOCK
 
 SPECS = [KernelSpec.rbf(2.0), KernelSpec.poly(2, 1.0)]
@@ -157,14 +158,39 @@ def shuffled_columns(draw):
 
 @SETTINGS
 @given(shuffled_columns())
-def test_fill_is_the_mean_of_the_sorted_observed_entries(samples):
+def test_prepare_columns_passes_every_value_as_given(samples):
     m = samples[0][0].size
-    D = np.arange(2.0 * m).reshape(m, 2)
-    X0, missing = _prepare_columns(samples, D)
+    X0, missing = _prepare_columns(samples, np.zeros((m, 2)))
     for j, (x, idx) in enumerate(samples):
-        fill = np.mean(x[np.sort(idx)]) if idx.size else D.mean(axis=1)
-        expected = np.where(missing[:, j], fill, x)
-        assert np.array_equal(X0[:, j], expected), j
+        assert np.array_equal(missing[:, j], ~np.isin(np.arange(m), idx)), j
+        assert np.array_equal(X0[:, j], x, equal_nan=True), j
+
+
+def _warmed(samples, D):
+    """The samples with D's mean column written at their NaN entries."""
+    mean = D.mean(axis=1)
+    return [(np.where(np.isnan(x), mean, x), idx) for x, idx in samples]
+
+
+@SETTINGS
+@given(problems(), st.integers(0, 2**32 - 1))
+def test_a_nan_start_is_the_mean_column_as_a_warm_start(problem, seed):
+    values, observed, spec, eta = problem
+    samples = _samples(values, observed)
+    D = np.random.default_rng(seed).standard_normal((values.shape[0], 3))
+    run = dict(n_iter=5, return_info=True)
+    out, infos = complete_new(D, samples, spec, 0.1, **run)
+    out_w, infos_w = complete_new(D, _warmed(samples, D), spec, 0.1, **run)
+    assert np.array_equal(out, out_w)
+    assert infos == infos_w
+    # the stream's first block starts from its starting dictionary D
+    hp = OnlineHyperparams(r=3, beta=0.1, eta=eta, n_iter=5, n_pass=2)
+    warm = _warmed(samples[:BATCH], D) + samples[BATCH:]
+    work, model = run_stream(samples, spec, hp, model=OnlineModel(D))
+    work_w, model_w = run_stream(warm, spec, hp, model=OnlineModel(D))
+    assert np.array_equal(work, work_w)
+    assert np.array_equal(model.dictionary, model_w.dictionary)
+    assert model.cost_trace == model_w.cost_trace
 
 
 @SETTINGS
